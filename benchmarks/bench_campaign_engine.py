@@ -24,7 +24,7 @@ headline ``single_cell_batched_speedup`` in the JSON summary.
 A third section times the *port-parallel* π-schemes (dual-/quad-port,
 ``repro.prt.dual_port``): the interpreted per-cycle engine vs the
 compiled cycle-grouped replay vs the batched lane-parallel engine
-(``multiport_rows``; the packed backends execute cycle groups natively,
+(``multiport_rows``; the packed executor runs cycle groups natively,
 so the batched column is lane passes, not scalar delegation; detection
 happens at the final signature, so the compiled ratio isolates the
 grouped executor win and the batched ratio the lane-vs-scalar win).
@@ -263,7 +263,7 @@ def bench_single_cell(n: int) -> list[dict]:
 def bench_multiport(n: int) -> list[dict]:
     """The port-parallel π-schemes: interpreted cycle() loop vs compiled
     cycle-grouped replay (``MultiPortRAM.apply_stream``) vs the batched
-    lane-parallel engine (the packed backends execute cycle groups
+    lane-parallel engine (the packed executor runs cycle groups
     natively -- pre-cycle reads, in-order write commit, one clock tick
     per group -- so the batched column is lane passes, not scalar
     delegation).

@@ -155,7 +155,6 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
                  workers: int = 0,
                  engine: str = "auto",
                  pool: WorkerPool | None = None,
-                 backend: str = "auto",
                  progress: Callable[[int, int], None] | None = None,
                  cache=None) -> CoverageReport:
     """Inject each universe fault into a fresh RAM and run the test.
@@ -198,10 +197,8 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
     on the persistent shared pool of :mod:`repro.sim.pool` -- or on
     ``pool``, an explicit :class:`~repro.sim.pool.WorkerPool` to reuse
     across many campaigns.  With ``engine="batched"`` the lane passes
-    run concurrently with the pooled scalar remainder, and ``backend``
-    selects the packed-column storage (``"auto"``/``"int"``/``"numpy"``,
-    see :class:`~repro.memory.packed.PackedMemoryArray`); both backends
-    produce byte-identical reports.
+    (int columns on a :class:`~repro.memory.packed.PackedMemoryArray`)
+    run concurrently with the pooled scalar remainder.
 
     >>> from repro.faults import single_cell_universe
     >>> from repro.march.library import MARCH_C_MINUS
@@ -242,8 +239,7 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
         stream = compile_fn(n, m)
         campaign = (run_campaign_batched(
             stream, universe, ram_factory=ram_factory,
-            workers=workers, pool=pool, backend=backend,
-            progress=progress)
+            workers=workers, pool=pool, progress=progress)
             if engine == "batched"
             else run_campaign(stream, universe, ram_factory=ram_factory,
                               workers=workers, pool=pool,

@@ -30,9 +30,8 @@ tail by construction.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["DetectionMarkovChain", "monte_carlo_detection", "fit_detection_chain"]
 
@@ -62,21 +61,27 @@ class DetectionMarkovChain:
         """Per-iteration detection probability."""
         return self.p_activation * self.p_propagation
 
-    def transition_matrix(self) -> np.ndarray:
-        """The 2x2 chain matrix over states (undetected, detected)."""
+    def transition_matrix(self) -> tuple[tuple[float, float], ...]:
+        """The 2x2 chain matrix over states (undetected, detected), as
+        row tuples.
+
+        >>> DetectionMarkovChain(0.25).transition_matrix()
+        ((0.75, 0.25), (0.0, 1.0))
+        """
         p = self.p_detect
-        return np.array([[1.0 - p, p], [0.0, 1.0]])
+        return ((1.0 - p, p), (0.0, 1.0))
 
     def detection_probability(self, iterations: int) -> float:
-        """``P(detected within t iterations)`` by matrix power.
+        """``P(detected within t iterations)``, the closed form
+        ``1 - (1 - p)^t`` of the matrix power's (undetected, detected)
+        entry.
 
         >>> DetectionMarkovChain(1.0).detection_probability(1)
         1.0
         """
         if iterations < 0:
             raise ValueError("iteration count must be non-negative")
-        matrix = np.linalg.matrix_power(self.transition_matrix(), iterations)
-        return float(matrix[0, 1])
+        return 1.0 - (1.0 - self.p_detect) ** iterations
 
     def detection_curve(self, max_iterations: int) -> list[float]:
         """``[P(detected within 1), ..., P(detected within t_max)]``."""
@@ -106,8 +111,9 @@ def fit_detection_chain(curve: list[float]) -> DetectionMarkovChain:
     """Fit the per-iteration detection probability to an empirical curve.
 
     Least-squares over the geometric family ``P(t) = 1 - (1 - p)^t``
-    (scipy's bounded scalar minimizer), returning the fitted chain.  Used
-    to read the effective resolution out of a Monte-Carlo campaign.
+    (a golden-section search over ``p`` in [0, 1]), returning the fitted
+    chain.  Used to read the effective resolution out of a Monte-Carlo
+    campaign.
 
     >>> chain = fit_detection_chain([0.5, 0.75, 0.875])
     >>> round(chain.p_detect, 3)
@@ -118,17 +124,36 @@ def fit_detection_chain(curve: list[float]) -> DetectionMarkovChain:
     for value in curve:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"curve value {value} is not a probability")
-    from scipy.optimize import minimize_scalar
-
-    times = np.arange(1, len(curve) + 1)
-    observed = np.asarray(curve)
 
     def loss(p: float) -> float:
-        model = 1.0 - np.power(1.0 - p, times)
-        return float(np.sum((model - observed) ** 2))
+        return sum((1.0 - (1.0 - p) ** t - value) ** 2
+                   for t, value in enumerate(curve, start=1))
 
-    fit = minimize_scalar(loss, bounds=(0.0, 1.0), method="bounded")
-    return DetectionMarkovChain(p_activation=float(fit.x), p_propagation=1.0)
+    return DetectionMarkovChain(p_activation=_golden_section_min(loss),
+                                p_propagation=1.0)
+
+
+def _golden_section_min(loss: Callable[[float], float]) -> float:
+    """Minimizer of a unimodal ``loss`` on [0, 1] by golden-section
+    search, to within 1e-10.
+
+    >>> round(_golden_section_min(lambda p: (p - 0.3) ** 2), 6)
+    0.3
+    """
+    shrink = (5 ** 0.5 - 1) / 2  # 1 / golden ratio
+    lo, hi = 0.0, 1.0
+    left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f_left, f_right = loss(left), loss(right)
+    while hi - lo > 1e-10:
+        if f_left < f_right:
+            hi, right, f_right = right, left, f_left
+            left = hi - shrink * (hi - lo)
+            f_left = loss(left)
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + shrink * (hi - lo)
+            f_right = loss(right)
+    return (lo + hi) / 2
 
 
 def monte_carlo_detection(fault_factory, iteration_factory, n: int,

@@ -3,7 +3,7 @@
 Historically every campaign entry point -- :func:`run_coverage`,
 :func:`compare_tests`, the CLI ``coverage``/``compare`` commands, and
 now the HTTP endpoints of :mod:`repro.server` -- threaded its own sprawl
-of ``engine/backend/workers/scheme/poly`` kwargs and duplicated the
+of ``engine/workers/scheme/poly`` kwargs and duplicated the
 validation.  This module collapses them onto one surface:
 
 * :class:`CampaignRequest` -- a frozen dataclass naming the test (a
@@ -14,7 +14,7 @@ validation.  This module collapses them onto one surface:
   describe byte-identical campaigns.
 
 * :func:`resolve_campaign` -- the one shared resolver: validates every
-  field (unknown tests, bad engines/backends, odd-``n`` quad schemes,
+  field (unknown tests, bad engines, odd-``n`` quad schemes,
   malformed field polynomials ... all raise :class:`RequestError` with a
   pointed message), builds the runner, compiles the stream, and derives
   the :meth:`CampaignRequest.cache_key` from the stream's
@@ -27,10 +27,11 @@ validation.  This module collapses them onto one surface:
   :class:`~repro.server.cache.ResultCache` so a repeated request is a
   dict lookup instead of a campaign.
 
-The cache key is built from ``(stream digest, universe spec, engine,
-backend, m, n, ports)`` -- everything that determines the report, and
-nothing that does not (``workers`` changes wall clock, never verdicts,
-so it is deliberately excluded).
+The cache key is built from ``(stream digest, universe spec, m, n,
+ports)`` under a key-format version -- everything that determines the
+report, and nothing that does not: ``engine`` and ``workers`` change
+wall clock, never verdicts (every engine returns byte-identical
+reports), so they are deliberately excluded.
 
 >>> request = CampaignRequest(test="march-c", n=16)
 >>> resolve_campaign(request).ports
@@ -89,16 +90,16 @@ __all__ = [
     "build_field",
     "known_tests",
     "ENGINES",
-    "BACKENDS",
 ]
 
 #: Valid campaign engines (shared by the resolver, ``run_coverage`` and
 #: the CLI/server option surfaces).
 ENGINES = ("auto", "compiled", "batched", "interpreted")
 
-#: Valid packed-column storage backends (see
-#: :class:`~repro.memory.packed.PackedMemoryArray`).
-BACKENDS = ("auto", "int", "numpy")
+#: Version of the :attr:`ResolvedCampaign.cache_key` text format.  It
+#: prefixes the hashed text, so entries written under an older format
+#: (on disk, by an older server) miss instead of colliding.
+CACHE_KEY_VERSION = 2
 
 _MARCH_TESTS = {
     "mats": MATS,
@@ -196,10 +197,10 @@ class CampaignRequest:
         Optional :class:`~repro.faults.universe.UniverseSpec`; ``None``
         selects ``standard_universe(n, m)``.  Passing a spec (not a
         fault list) is what keeps requests hashable and shardable.
-    engine, backend, workers:
+    engine, workers:
         Execution options, identical to ``run_coverage``'s kwargs.
-        ``workers`` is excluded from :meth:`cache_key` -- it changes
-        wall clock, never verdicts.
+        Both are excluded from :meth:`cache_key` -- they change wall
+        clock, never verdicts.
     pure:
         Drop transparent verification from the PRT schedules (the
         paper-exact signature-only mode; ignored for March tests).
@@ -219,7 +220,6 @@ class CampaignRequest:
     m: int = 1
     universe: UniverseSpec | None = None
     engine: str = "auto"
-    backend: str = "auto"
     workers: int = 0
     pure: bool = False
     poly: str | None = None
@@ -227,9 +227,10 @@ class CampaignRequest:
     def cache_key(self) -> str:
         """Stable content address of this campaign's result.
 
-        SHA-256 over ``(stream digest, universe spec, engine, backend,
-        m, n, ports)`` -- stable across processes and Python runs, so an
-        on-disk cache written by one server process serves another.
+        SHA-256 over ``(key-format version, stream digest, universe
+        spec, m, n, ports)`` -- stable across processes and Python
+        runs, so an on-disk cache written by one server process serves
+        another, and shared by every engine and worker count.
         Validation runs first: an invalid request has no key.
         """
         return resolve_campaign(self).cache_key
@@ -276,10 +277,9 @@ class ResolvedCampaign:
         if self._cache_key is None:
             request = self.request
             text = "\x00".join((
+                f"cache-key-v{CACHE_KEY_VERSION}",
                 self.compile().digest(),
                 repr(self.universe_spec),
-                request.engine,
-                request.backend,
                 str(request.m),
                 str(request.n),
                 str(self.ports),
@@ -321,10 +321,6 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
     if request.engine not in ENGINES:
         raise RequestError(
             f"engine must be one of {ENGINES}, got {request.engine!r}"
-        )
-    if request.backend not in BACKENDS:
-        raise RequestError(
-            f"backend must be one of {BACKENDS}, got {request.backend!r}"
         )
     if not isinstance(request.workers, int) or request.workers < 0:
         raise RequestError(
@@ -523,7 +519,7 @@ def _run_resolved(resolved: ResolvedCampaign, name: str,
     return run_coverage(
         resolved.runner, resolved.build_universe(), request.n, m=request.m,
         test_name=name, workers=request.workers, engine=request.engine,
-        pool=pool, backend=request.backend, progress=progress,
+        pool=pool, progress=progress,
     )
 
 

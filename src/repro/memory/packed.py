@@ -22,35 +22,22 @@ the stream:
   precompiled lookup table lowers to a per-plane shift/XOR plan -- a
   handful of column operations per record, not per lane.
 
-Two storage **backends** implement the column algebra behind one API:
-
-``"int"``
-    One plain Python int per address -- arbitrary precision, no
-    dependencies.  CPython's bignum bitwise ops are word-packed C loops
-    with near-zero dispatch cost, and the executor's hot paths need
-    fewer memory passes per record on this representation (writes
-    rebind, zero diffs short-circuit), so this backend measures fastest
-    at every column width the campaign engine produces.
-``"numpy"``
-    A fixed-width uint64 block array of shape ``(n, m, ceil(lanes/64))``
-    -- every column operation is a vectorized word-array op over
-    preallocated storage, with bounded per-address memory independent
-    of fault state.
-``"auto"`` (the default)
-    ``"numpy"`` when the package is importable and the column is wider
-    than ``AUTO_NUMPY_MIN_BITS``, else ``"int"``.  The threshold is set
-    from ``benchmarks/bench_column_kernel.py`` measurements; see its
-    comment below.
+Every column is one plain Python int: arbitrary precision, no
+dependencies.  CPython's bignum bitwise ops are word-packed C loops with
+near-zero dispatch cost, writes rebind instead of copying, and a zero
+diff short-circuits a whole record, so one int executor serves every
+geometry the campaign engine produces (up to ``max_lanes=4096`` at
+``m=8``, a 2^15-bit column).
 
 Per-lane fault semantics plug in through :class:`LaneFaultModel`: the
 executor calls ``transform_write`` / ``after_write`` / ``settle`` with
-backend columns, and a model implements e.g. stuck-at-1 on bit *b* as
+int columns, and a model implements e.g. stuck-at-1 on bit *b* as
 ``new | sa1_mask[addr]`` with the mask positioned in plane *b* -- one
-column OR applies the fault to hundreds of lanes at once.  Models stay
-backend-agnostic by building their masks through the column/row helper
-surface (:meth:`PackedMemoryArray.col_from_int`,
-:meth:`~PackedMemoryArray.spread`, :meth:`~PackedMemoryArray.fold`,
-:meth:`~PackedMemoryArray.shift_planes`, the ``*_lanes`` mutators, ...)
+column OR applies the fault to hundreds of lanes at once.  Models
+position and combine their masks through the column/row helper surface
+(:meth:`PackedMemoryArray.spread`,
+:meth:`~PackedMemoryArray.shift_planes`,
+:meth:`~PackedMemoryArray.match_lanes`, the ``*_lanes`` mutators, ...)
 instead of touching the storage directly.  Models are built from
 :meth:`repro.faults.base.Fault.vector_semantics` descriptors by
 :mod:`repro.sim.batched`, which also owns universe partitioning and the
@@ -69,25 +56,7 @@ is :class:`~repro.sim.ir.OpStream`'s compile-time job.
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 __all__ = ["PackedMemoryArray", "LaneFaultModel"]
-
-
-#: Column width (``m * lanes`` bits) at which the ``"auto"`` backend
-#: switches to uint64 blocks.  ``benchmarks/bench_column_kernel.py``
-#: measures the big-int kernel faster on every geometry up to
-#: multi-megabit columns (CPython's word-packed bignum ops are
-#: memory-bound too, and the int executor's short-circuits save whole
-#: passes per record), so the threshold sits beyond any width the
-#: campaign engine produces (``max_lanes=4096`` at ``m=8`` is 2^15
-#: bits): ``"auto"`` resolves to ``"int"`` in practice and the numpy
-#: backend is an explicitly requested, contract-tested alternative.
-#: Retune against the bench before lowering.
-AUTO_NUMPY_MIN_BITS = 1 << 23
 
 
 class LaneFaultModel:
@@ -95,11 +64,8 @@ class LaneFaultModel:
 
     The default implementation is a no-op (all lanes healthy).  Concrete
     models (:mod:`repro.sim.batched`) override the hooks they need; each
-    hook receives and returns backend lane columns (plane-major, see the
+    hook receives and returns int lane columns (plane-major, see the
     module docstring -- for ``m == 1`` a column is simply a lane mask).
-    Hooks must treat their arguments as immutable (rebind, never mutate
-    in place): on the numpy backend an in-place op would corrupt the
-    executor's cached broadcast columns.
     """
 
     #: Set True by models that override :meth:`transform_read` (e.g. the
@@ -135,8 +101,8 @@ class LaneFaultModel:
 
     def install(self, memory: "PackedMemoryArray") -> None:
         """Force the initial state (e.g. stuck-at-1 lanes start at 1)
-        and convert int masks to backend columns.  Called once, before
-        the first operation.  Default: nothing."""
+        and spread plane masks over the memory's geometry.  Called once,
+        before the first operation.  Default: nothing."""
 
     def clock(self, cycle: int) -> None:
         """Observe the stream clock before each record executes.  Only
@@ -192,12 +158,6 @@ class PackedMemoryArray:
         Bits per cell (1 = bit-oriented, the default).  Word-oriented
         copies store bit *b* of a cell in plane *b* of the column
         (bits ``[b * lanes, (b + 1) * lanes)``).
-    backend:
-        ``"int"`` (big-int columns), ``"numpy"`` (uint64 block columns,
-        shape ``(n, m, ceil(lanes/64))``), or ``"auto"`` (numpy for wide
-        columns when available).  Both backends are observationally
-        identical -- same verdicts, same ``captured`` ints, same
-        ``dump_lane`` snapshots (pinned by the contract suite).
 
     Examples
     --------
@@ -218,48 +178,25 @@ class PackedMemoryArray:
     (10, 10)
     """
 
-    __slots__ = ("_n", "_lanes", "_m", "_ones", "_full", "_backend",
-                 "_w", "_row_ones", "_replicate", "_blocks", "words")
+    __slots__ = ("_n", "_lanes", "_m", "_ones", "_full", "_replicate",
+                 "words")
 
-    def __init__(self, n: int, lanes: int, m: int = 1,
-                 backend: str = "auto"):
+    def __init__(self, n: int, lanes: int, m: int = 1):
         if n < 1:
             raise ValueError(f"memory needs at least one cell, got n={n}")
         if lanes < 1:
             raise ValueError(f"need at least one lane, got {lanes}")
         if m < 1:
             raise ValueError(f"cells need at least one bit, got m={m}")
-        if backend not in ("auto", "int", "numpy"):
-            raise ValueError(
-                f"backend must be 'auto', 'int' or 'numpy', got {backend!r}"
-            )
-        if backend == "auto":
-            backend = "numpy" if (_np is not None
-                                  and m * lanes >= AUTO_NUMPY_MIN_BITS) \
-                else "int"
-        elif backend == "numpy" and _np is None:
-            raise ValueError("backend='numpy' requires numpy")
         self._n = n
         self._lanes = lanes
         self._m = m
         self._ones = (1 << lanes) - 1
         self._full = (1 << (m * lanes)) - 1
-        self._backend = backend
         #: plane-replication factor: lane rows (< 2**lanes) multiplied by
-        #: it spread carry-free into every plane (int backend).
+        #: it spread carry-free into every plane.
         self._replicate = sum(1 << (bit * lanes) for bit in range(m))
-        if backend == "numpy":
-            self._w = (lanes + 63) >> 6
-            self._row_ones = self._row_from_int_np(self._ones)
-            self._blocks = _np.zeros((n, m, self._w), dtype=_np.uint64)
-            # Kept pointing at the block array so ad-hoc inspection still
-            # has a ``words``; models go through the helper surface.
-            self.words = self._blocks
-        else:
-            self._w = 0
-            self._row_ones = None
-            self._blocks = None
-            self.words: list[int] = [0] * n
+        self.words: list[int] = [0] * n
 
     # -- geometry --------------------------------------------------------------
 
@@ -288,81 +225,17 @@ class PackedMemoryArray:
         """The all-planes all-lanes column mask, ``(1 << m*lanes) - 1``."""
         return self._full
 
-    @property
-    def backend(self) -> str:
-        """The resolved storage backend: ``"int"`` or ``"numpy"``."""
-        return self._backend
-
     def __repr__(self) -> str:
         m = f", m={self._m}" if self._m != 1 else ""
-        backend = ", backend='numpy'" if self._backend == "numpy" else ""
-        return f"PackedMemoryArray(n={self._n}, lanes={self._lanes}{m}{backend})"
+        return f"PackedMemoryArray(n={self._n}, lanes={self._lanes}{m})"
 
-    # -- int <-> backend conversions -------------------------------------------
+    # -- column/row algebra (the lane-model helper surface) --------------------
     #
     # A *column* is one address's full plane-major bit matrix (``m *
     # lanes`` bits); a *row* is one plane's lane mask (``lanes`` bits).
-    # On the int backend both are plain ints; on the numpy backend a
-    # column is a ``(m, W)`` uint64 array and a row a ``(W,)`` one.
-    # Models build their masks as ints at construction time (geometry
-    # permitting) and convert once at ``install``.
+    # Both are plain ints.
 
-    def _row_from_int_np(self, row: int):
-        out = _np.empty(self._w, dtype=_np.uint64)
-        for word in range(self._w):
-            out[word] = (row >> (word << 6)) & 0xFFFFFFFFFFFFFFFF
-        return out
-
-    def _row_to_int_np(self, row) -> int:
-        out = 0
-        for word in range(self._w):
-            out |= int(row[word]) << (word << 6)
-        return out
-
-    def row_from_int(self, row: int):
-        """Backend row (one plane's lane mask) from an int lane mask."""
-        if self._backend == "int":
-            return row & self._ones
-        return self._row_from_int_np(row & self._ones)
-
-    def row_to_int(self, row) -> int:
-        """Int lane mask from a backend row."""
-        if self._backend == "int":
-            return row
-        return self._row_to_int_np(row)
-
-    def col_from_int(self, column: int):
-        """Backend column from a plane-major int column."""
-        if self._backend == "int":
-            return column & self._full
-        out = _np.empty((self._m, self._w), dtype=_np.uint64)
-        for plane in range(self._m):
-            out[plane] = self._row_from_int_np(
-                (column >> (plane * self._lanes)) & self._ones)
-        return out
-
-    def col_to_int(self, column) -> int:
-        """Plane-major int column from a backend column."""
-        if self._backend == "int":
-            return column
-        out = 0
-        for plane in range(self._m):
-            out |= self._row_to_int_np(column[plane]) \
-                << (plane * self._lanes)
-        return out
-
-    def copy_col(self, column):
-        """A detached copy of a backend column.  Int columns are
-        immutable, but numpy columns handed to model hooks may be live
-        views into the storage -- a model that *latches* a column (e.g.
-        a sense amplifier) must copy it or silently track later writes."""
-        if self._backend == "numpy":
-            return column.copy()
-        return column
-
-    # -- column/row algebra (the lane-model helper surface) --------------------
-
-    def broadcast(self, value: int):
+    def broadcast(self, value: int) -> int:
         """The column storing m-bit ``value`` in every lane.
 
         >>> PackedMemoryArray(2, lanes=4, m=2).broadcast(0b10)
@@ -372,12 +245,6 @@ class PackedMemoryArray:
             raise ValueError(
                 f"value {value!r} does not fit an m={self._m}-bit cell"
             )
-        if self._backend == "numpy":
-            out = _np.zeros((self._m, self._w), dtype=_np.uint64)
-            for plane in range(self._m):
-                if (value >> plane) & 1:
-                    out[plane] = self._row_ones
-            return out
         if self._m == 1:
             return self._ones if value else 0
         column = 0
@@ -391,17 +258,13 @@ class PackedMemoryArray:
             shift += lanes
         return column
 
-    def lane_mask(self, column) -> int:
-        """Collapse a column to an *int* lane mask: lane *k* is set when
-        any plane of lane *k* is set in ``column`` (the detection fold).
+    def lane_mask(self, column: int) -> int:
+        """Collapse a column to a lane mask: lane *k* is set when any
+        plane of lane *k* is set in ``column`` (the detection fold).
 
         >>> PackedMemoryArray(2, lanes=4, m=2).lane_mask(0b0001_1000)
         9
         """
-        if self._backend == "numpy":
-            if isinstance(column, int):
-                column = self.col_from_int(column)
-            return self._row_to_int_np(_np.bitwise_or.reduce(column, axis=0))
         lanes = self._lanes
         mask = column & self._ones
         rest = column >> lanes
@@ -410,127 +273,66 @@ class PackedMemoryArray:
             rest >>= lanes
         return mask
 
-    def fold(self, column):
-        """Collapse a column to a backend *row* (any plane set per lane)
-        -- :meth:`lane_mask` without leaving the backend domain."""
-        if self._backend == "numpy":
-            return _np.bitwise_or.reduce(column, axis=0)
-        return self.lane_mask(column)
-
-    def spread(self, row):
+    def spread(self, row: int) -> int:
         """The column with ``row`` replicated into every plane (the mask
-        that selects *whole cells* of the row's lanes).  On the numpy
-        backend the result is a read-only broadcast view."""
-        if self._backend == "numpy":
-            return _np.broadcast_to(row, (self._m, self._w))
+        that selects *whole cells* of the row's lanes)."""
         return row * self._replicate
 
-    def row_to_plane(self, row, bit: int):
+    def row_to_plane(self, row: int, bit: int) -> int:
         """The column with ``row`` positioned in plane ``bit`` only."""
-        if self._backend == "numpy":
-            out = _np.zeros((self._m, self._w), dtype=_np.uint64)
-            out[bit] = row
-            return out
         return row << (bit * self._lanes)
 
-    def shift_planes(self, column, delta: int):
+    def shift_planes(self, column: int, delta: int) -> int:
         """``column`` moved ``delta`` planes up (negative: down); planes
         shifted out of range are dropped.  This is the aggressor-plane ->
         victim-plane repositioning coupling models use."""
         if delta == 0:
             return column
-        if self._backend == "numpy":
-            out = _np.zeros((self._m, self._w), dtype=_np.uint64)
-            if delta > 0:
-                out[delta:] = column[:self._m - delta]
-            else:
-                out[:self._m + delta] = column[-delta:]
-            return out
         shifted = column << (delta * self._lanes) if delta > 0 \
             else column >> (-delta * self._lanes)
         return shifted & self._full
 
-    def plane(self, addr: int, bit: int):
-        """Plane ``bit`` of the column at ``addr``, as a backend row.
-        Treat the result as read-only (numpy returns a view)."""
-        if self._backend == "numpy":
-            return self._blocks[addr, bit]
+    def plane(self, addr: int, bit: int) -> int:
+        """Plane ``bit`` of the column at ``addr``, as a row."""
         return (self.words[addr] >> (bit * self._lanes)) & self._ones
 
-    def match_lanes(self, addr: int, value_column):
-        """Backend row of the lanes whose *whole m-bit cell* at ``addr``
-        equals the value ``value_column`` broadcasts."""
-        if self._backend == "numpy":
-            diff = self._blocks[addr] ^ value_column
-            return self._row_ones & ~_np.bitwise_or.reduce(diff, axis=0)
+    def match_lanes(self, addr: int, value_column: int) -> int:
+        """Row of the lanes whose *whole m-bit cell* at ``addr`` equals
+        the value ``value_column`` broadcasts."""
         return self._ones & ~self.lane_mask(self.words[addr] ^ value_column)
-
-    def any(self, value) -> bool:
-        """True when any bit of a backend row or column is set."""
-        if self._backend == "numpy":
-            return bool(value.any())
-        return bool(value)
 
     # -- access ----------------------------------------------------------------
 
-    def read_lanes(self, addr: int):
-        """The lane column stored at ``addr`` (numpy: a live view)."""
-        if self._backend == "numpy":
-            return self._blocks[addr]
+    def read_lanes(self, addr: int) -> int:
+        """The lane column stored at ``addr``."""
         return self.words[addr]
 
-    def write_lanes(self, addr: int, mask) -> None:
-        """Replace the lane column stored at ``addr``.  Accepts an int
-        column on either backend."""
-        if self._backend == "numpy":
-            if isinstance(mask, int):
-                mask = self.col_from_int(mask)
-            self._blocks[addr] = mask & self.spread(self._row_ones)
-            return
+    def write_lanes(self, addr: int, mask: int) -> None:
+        """Replace the lane column stored at ``addr``."""
         self.words[addr] = mask & self._full
 
-    def or_lanes(self, addr: int, column) -> None:
-        """``column[addr] |= column`` in the backend domain."""
-        if self._backend == "numpy":
-            self._blocks[addr] |= column
-        else:
-            self.words[addr] |= column
+    def or_lanes(self, addr: int, column: int) -> None:
+        """Set ``column``'s bits at ``addr``."""
+        self.words[addr] |= column
 
-    def andnot_lanes(self, addr: int, column) -> None:
+    def andnot_lanes(self, addr: int, column: int) -> None:
         """Clear ``column``'s bits at ``addr``."""
-        if self._backend == "numpy":
-            self._blocks[addr] &= ~column
-        else:
-            self.words[addr] &= ~column
+        self.words[addr] &= ~column
 
-    def xor_lanes(self, addr: int, column) -> None:
+    def xor_lanes(self, addr: int, column: int) -> None:
         """Toggle ``column``'s bits at ``addr``."""
-        if self._backend == "numpy":
-            self._blocks[addr] ^= column
-        else:
-            self.words[addr] ^= column
+        self.words[addr] ^= column
 
-    def blend_lanes(self, addr: int, select, value_column) -> None:
+    def blend_lanes(self, addr: int, select: int, value_column: int) -> None:
         """Replace the ``select``-masked bits at ``addr`` with
         ``value_column``'s (the column analogue of a bit-select mux)."""
-        if self._backend == "numpy":
-            self._blocks[addr] = (self._blocks[addr] & ~select) \
-                | (value_column & select)
-        else:
-            self.words[addr] = (self.words[addr] & ~select) \
-                | (value_column & select)
+        self.words[addr] = (self.words[addr] & ~select) \
+            | (value_column & select)
 
     def lane_value(self, addr: int, lane: int) -> int:
         """The m-bit value cell ``addr`` holds in copy ``lane``."""
         if not 0 <= lane < self._lanes:
             raise IndexError(f"lane {lane} out of range [0, {self._lanes})")
-        if self._backend == "numpy":
-            word, offset = lane >> 6, lane & 63
-            value = 0
-            for bit in range(self._m):
-                value |= int((self._blocks[addr, bit, word] >> offset) & 1) \
-                    << bit
-            return value
         column = self.words[addr] >> lane
         if self._m == 1:
             return column & 1
@@ -607,14 +409,13 @@ class PackedMemoryArray:
             ``"s"`` (signature) read as a plain int, in order -- the
             lane-parallel analogue of the scalar executors' per-value
             ``captured`` list (bit ``b * lanes + k`` is bit *b* of the
-            value lane *k* observed), identical across backends.  Pass
-            ``stop_when_all_detected=False`` when the capture list must
-            cover the whole stream.
+            value lane *k* observed).  Pass ``stop_when_all_detected=False``
+            when the capture list must cover the whole stream.
 
         Returns ``(detected, executed)``: the final detected-lane mask
-        (a plain int on either backend) and the number of operation
-        records executed, once per *pass*, not per lane.  Like the
-        scalar executors, ``executed`` counts every read and write
+        and the number of operation records executed, once per *pass*,
+        not per lane.  Like the scalar executors, ``executed`` counts
+        every read and write
         record -- ``"w"``/``"r"``/``"s"`` and the ``"ra"``/``"wa"``
         recurrence ops -- while ``"i"`` idles are free.
 
@@ -625,184 +426,16 @@ class PackedMemoryArray:
         """
         if model is None:
             model = _NO_FAULTS
-        if self._backend == "numpy":
-            return self._apply_stream_np(ops, tables, model, detected,
-                                         stop_when_all_detected, captured)
-        if self._m == 1:
-            return self._apply_stream_bit(ops, tables, model, detected,
-                                          stop_when_all_detected, captured)
-        return self._apply_stream_word(ops, tables, model, detected,
-                                       stop_when_all_detected, captured)
-
-    def _apply_stream_bit(self, ops, tables, model, detected,
-                          stop_when_all_detected, captured):
-        """The bit-oriented (m == 1) int executor: one bit per lane."""
         words = self.words
-        ones = self._ones
-        executed = 0
-        accs: dict[int, int] = {}
-        transform_write = model.transform_write
-        after_write = model.after_write
-        # Hoisted flags: read-transparent / settle-free models (the
-        # common case) skip the hooks entirely, keeping the checked-read
-        # fast path to one XOR per record.
-        transform_read = model.transform_read if model.transforms_reads \
-            else None
-        settle = model.settle if model.settles else None
-        clock = model.clock if model.timed else None
-        conflicts = model.group_write_conflicts if model.maps_addresses \
-            else None
-        cycle = 0
-        index = 0
-        end = len(ops)
-        while index < end:
-            kind, _port, addr, value, expected, idle = ops[index]
-            if kind not in ("w", "wa", "r", "s", "ra", "i", "grp"):
-                raise ValueError(f"unknown op kind {kind!r}")
-            if clock is not None:
-                clock(cycle)
-            if kind == "w" or kind == "wa":
-                if kind == "w":
-                    new = ones if value else 0
-                else:
-                    new = accs.get(idle, 0) ^ (ones if value else 0)
-                    accs[idle] = 0
-                old = words[addr]
-                new = transform_write(addr, old, new)
-                words[addr] = new
-                after_write(addr, old, new, self)
-                executed += 1
-                cycle += 1
-            elif kind == "r" or kind == "s":
-                executed += 1
-                cycle += 1
-                observed = words[addr] if transform_read is None \
-                    else transform_read(addr, words[addr], _port)
-                if kind == "s" and captured is not None:
-                    captured.append(observed)
-                diff = observed ^ (ones if expected else 0)
-                if diff:
-                    detected |= diff
-                    if detected == ones and stop_when_all_detected:
-                        return detected, executed
-            elif kind == "ra":
-                executed += 1
-                cycle += 1
-                # Decode the stored-data inversion, then add the lane's
-                # recurrence term into its accumulator bit.  In GF(2) the
-                # only non-zero multiplier is 1, so the table either
-                # passes the difference through or annihilates it.
-                observed = words[addr] if transform_read is None \
-                    else transform_read(addr, words[addr], _port)
-                diff = observed ^ (ones if expected else 0)
-                if diff and (value is None or tables[value][1]):
-                    accs[idle] = accs.get(idle, 0) ^ diff
-            elif kind == "i":
-                cycle += idle
-            elif kind == "grp":
-                count = value
-                stop = index + 1 + count
-                if stop > end:
-                    raise ValueError(
-                        f"op {index}: group announces {count} members "
-                        f"but the stream slice ends at {end}"
-                    )
-                if count == 1:
-                    # One op in one cycle: the flat handling above is
-                    # equivalent and cheaper.
-                    index += 1
-                    continue
-                # Phase A: resolve the stored values ("wa" consumes its
-                # accumulator as of the cycle start) and collect the
-                # pending writes in member order.
-                pending = None
-                for member in range(index + 1, stop):
-                    rec = ops[member]
-                    rkind = rec[0]
-                    if rkind in ("r", "s", "ra"):
-                        continue
-                    if rkind not in ("w", "wa"):
-                        raise ValueError(
-                            f"cycle {cycle}: {rkind!r} records cannot "
-                            "appear inside a cycle group"
-                        )
-                    if rkind == "w":
-                        stored = ones if rec[3] else 0
-                    else:
-                        acc_id = rec[5]
-                        stored = accs.get(acc_id, 0) ^ (ones if rec[3]
-                                                        else 0)
-                        accs[acc_id] = 0
-                    if pending is None:
-                        pending = []
-                    pending.append((rec[2], stored))
-                # Decoder write-write conflicts detect the lane -- the
-                # scalar executor raises PortConflictError, which the
-                # campaign counts as a detection.
-                if pending is not None and conflicts is not None:
-                    detected |= conflicts(
-                        tuple(waddr for waddr, _ in pending)) & ones
-                # Phase B: every read senses the pre-cycle columns.
-                for member in range(index + 1, stop):
-                    rec = ops[member]
-                    rkind = rec[0]
-                    if rkind == "w" or rkind == "wa":
-                        continue
-                    raddr = rec[2]
-                    observed = words[raddr] if transform_read is None \
-                        else transform_read(raddr, words[raddr], rec[1])
-                    diff = observed ^ (ones if rec[4] else 0)
-                    if rkind == "ra":
-                        if diff and (rec[3] is None or tables[rec[3]][1]):
-                            accs[rec[5]] = accs.get(rec[5], 0) ^ diff
-                        continue
-                    if rkind == "s" and captured is not None:
-                        captured.append(observed)
-                    if diff:
-                        detected |= diff
-                # Phase C: commit the writes in member order.  The cycle
-                # is atomic, so the all-detected early abort waits until
-                # after the commits (matching the scalar executor, whose
-                # aborting cycle still completes).
-                if pending is not None:
-                    for waddr, stored in pending:
-                        old = words[waddr]
-                        stored = transform_write(waddr, old, stored)
-                        words[waddr] = stored
-                        after_write(waddr, old, stored, self)
-                executed += count
-                cycle += 1
-                if settle is not None:
-                    settle(self)
-                if detected == ones and stop_when_all_detected:
-                    return detected, executed
-                index = stop
-                continue
-            if settle is not None:
-                settle(self)
-            index += 1
-        return detected, executed
-
-    def _apply_stream_word(self, ops, tables, model, detected,
-                           stop_when_all_detected, captured):
-        """The word-oriented (m > 1) int executor: m planes per lane.
-
-        Same record semantics as the bit executor with three geometry
-        generalisations: write values and read expectations broadcast
-        through a per-value column cache, a checked-read mismatch folds
-        its column onto the lane mask (any plane differing detects the
-        lane), and ``"ra"`` multipliers run their lowered per-plane
-        shift/XOR plan (see :meth:`_lower_table`).
-        """
-        words = self.words
-        lanes = self._lanes
         ones = self._ones
         executed = 0
         accs: dict[int, int] = {}
         columns: dict[int, int] = {}  # m-bit value -> broadcast column
         plans: dict[int, list] = {}  # table index -> shift/XOR plan
         broadcast = self.broadcast
-        lane_mask = self.lane_mask
+        # At m == 1 a column is already its lane mask: skipping the fold
+        # call keeps bit-oriented passes as fast as a dedicated loop.
+        fold = self.lane_mask if self._m > 1 else None
         transform_write = model.transform_write
         after_write = model.after_write
         transform_read = model.transform_read if model.transforms_reads \
@@ -845,7 +478,7 @@ class PackedMemoryArray:
                     expect = columns[expected] = broadcast(expected)
                 diff = observed ^ expect
                 if diff:
-                    detected |= lane_mask(diff)
+                    detected |= diff if fold is None else fold(diff)
                     if detected == ones and stop_when_all_detected:
                         return detected, executed
             elif kind == "ra":
@@ -943,7 +576,7 @@ class PackedMemoryArray:
                     if rkind == "s" and captured is not None:
                         captured.append(observed)
                     if diff:
-                        detected |= lane_mask(diff)
+                        detected |= diff if fold is None else fold(diff)
                 # Phase C: commit in member order; the cycle is atomic,
                 # so the all-detected abort waits for the commits.
                 if pending is not None:
@@ -965,206 +598,6 @@ class PackedMemoryArray:
             index += 1
         return detected, executed
 
-    def _apply_stream_np(self, ops, tables, model, detected,
-                         stop_when_all_detected, captured):
-        """The uint64 block executor (any m): columns are ``(m, W)``
-        uint64 arrays, so every record costs a few fixed-width ufunc
-        calls regardless of the lane count.
-
-        Record semantics are identical to the int executors (pinned by
-        the backend-equality contract tests); the only representational
-        differences are that the detection fold is a ``bitwise_or``
-        reduction over the plane axis and GF(2^m) plans index planes as
-        array rows instead of bit shifts.
-        """
-        np = _np
-        blocks = self._blocks
-        m, w = self._m, self._w
-        row_ones = self._row_ones
-        executed = 0
-        accs: dict[int, object] = {}
-        columns: dict[int, object] = {}  # m-bit value -> broadcast column
-        plans: dict[int, list] = {}  # table index -> per-plane XOR plan
-        broadcast = self.broadcast
-        transform_write = model.transform_write
-        after_write = model.after_write
-        transform_read = model.transform_read if model.transforms_reads \
-            else None
-        settle = model.settle if model.settles else None
-        clock = model.clock if model.timed else None
-        conflicts = model.group_write_conflicts if model.maps_addresses \
-            else None
-        cycle = 0
-        index = 0
-        end = len(ops)
-        detected_row = self._row_from_int_np(detected & self._ones)
-        while index < end:
-            kind, _port, addr, value, expected, idle = ops[index]
-            if kind not in ("w", "wa", "r", "s", "ra", "i", "grp"):
-                raise ValueError(f"unknown op kind {kind!r}")
-            if clock is not None:
-                clock(cycle)
-            if kind == "w" or kind == "wa":
-                new = columns.get(value)
-                if new is None:
-                    new = columns[value] = broadcast(value)
-                if kind == "wa":
-                    acc = accs.get(idle)
-                    if acc is not None:
-                        new = new ^ acc
-                        acc[:] = 0  # the scalar executors' reset-to-0
-                # The write path needs the pre-write column after the
-                # store (after_write's ``old``): blocks[addr] is a view,
-                # so snapshot it before the assignment overwrites it.
-                old = blocks[addr].copy()
-                new = transform_write(addr, old, new)
-                blocks[addr] = new
-                after_write(addr, old, new, self)
-                executed += 1
-                cycle += 1
-            elif kind == "r" or kind == "s":
-                executed += 1
-                cycle += 1
-                observed = blocks[addr] if transform_read is None \
-                    else transform_read(addr, blocks[addr], _port)
-                if kind == "s" and captured is not None:
-                    captured.append(self.col_to_int(observed))
-                expect = columns.get(expected)
-                if expect is None:
-                    expect = columns[expected] = broadcast(expected)
-                diff = np.bitwise_or.reduce(observed ^ expect, axis=0)
-                if diff.any():
-                    detected_row |= diff
-                    if stop_when_all_detected \
-                            and np.array_equal(detected_row, row_ones):
-                        return self._row_to_int_np(detected_row), executed
-            elif kind == "ra":
-                executed += 1
-                cycle += 1
-                observed = blocks[addr] if transform_read is None \
-                    else transform_read(addr, blocks[addr], _port)
-                expect = columns.get(expected)
-                if expect is None:
-                    expect = columns[expected] = broadcast(expected)
-                diff = observed ^ expect
-                if diff.any():
-                    acc = accs.get(idle)
-                    if acc is None:
-                        acc = accs[idle] = np.zeros((m, w),
-                                                    dtype=np.uint64)
-                    if value is None:  # multiplier 1: add the raw diff
-                        acc ^= diff
-                    else:
-                        plan = plans.get(value)
-                        if plan is None:
-                            plan = plans[value] = \
-                                self._lower_table_planes(tables[value])
-                        for src, dst_planes in plan:
-                            plane = diff[src]
-                            if plane.any():
-                                for dst in dst_planes:
-                                    acc[dst] ^= plane
-            elif kind == "i":
-                cycle += idle
-            elif kind == "grp":
-                count = value
-                stop = index + 1 + count
-                if stop > end:
-                    raise ValueError(
-                        f"op {index}: group announces {count} members "
-                        f"but the stream slice ends at {end}"
-                    )
-                if count == 1:
-                    index += 1
-                    continue
-                # Phase A: resolve stored values, collect pending writes.
-                pending = None
-                for member in range(index + 1, stop):
-                    rec = ops[member]
-                    rkind = rec[0]
-                    if rkind in ("r", "s", "ra"):
-                        continue
-                    if rkind not in ("w", "wa"):
-                        raise ValueError(
-                            f"cycle {cycle}: {rkind!r} records cannot "
-                            "appear inside a cycle group"
-                        )
-                    stored = columns.get(rec[3])
-                    if stored is None:
-                        stored = columns[rec[3]] = broadcast(rec[3])
-                    if rkind == "wa":
-                        acc = accs.get(rec[5])
-                        if acc is not None:
-                            stored = stored ^ acc
-                            acc[:] = 0
-                    if pending is None:
-                        pending = []
-                    pending.append((rec[2], stored))
-                if pending is not None and conflicts is not None:
-                    row = conflicts(
-                        tuple(waddr for waddr, _ in pending)) & self._ones
-                    if row:
-                        detected_row |= self._row_from_int_np(row)
-                # Phase B: reads sense the pre-cycle columns.
-                for member in range(index + 1, stop):
-                    rec = ops[member]
-                    rkind = rec[0]
-                    if rkind == "w" or rkind == "wa":
-                        continue
-                    raddr = rec[2]
-                    observed = blocks[raddr] if transform_read is None \
-                        else transform_read(raddr, blocks[raddr], rec[1])
-                    expect = columns.get(rec[4])
-                    if expect is None:
-                        expect = columns[rec[4]] = broadcast(rec[4])
-                    diff = observed ^ expect
-                    if rkind == "ra":
-                        if diff.any():
-                            acc = accs.get(rec[5])
-                            if acc is None:
-                                acc = accs[rec[5]] = np.zeros(
-                                    (m, w), dtype=np.uint64)
-                            if rec[3] is None:
-                                acc ^= diff
-                            else:
-                                plan = plans.get(rec[3])
-                                if plan is None:
-                                    plan = plans[rec[3]] = \
-                                        self._lower_table_planes(
-                                            tables[rec[3]])
-                                for src, dst_planes in plan:
-                                    plane = diff[src]
-                                    if plane.any():
-                                        for dst in dst_planes:
-                                            acc[dst] ^= plane
-                        continue
-                    if rkind == "s" and captured is not None:
-                        captured.append(self.col_to_int(observed))
-                    fold = np.bitwise_or.reduce(diff, axis=0)
-                    if fold.any():
-                        detected_row |= fold
-                # Phase C: commit in member order; the cycle is atomic,
-                # so the all-detected abort waits for the commits.
-                if pending is not None:
-                    for waddr, stored in pending:
-                        old = blocks[waddr].copy()
-                        stored = transform_write(waddr, old, stored)
-                        blocks[waddr] = stored
-                        after_write(waddr, old, stored, self)
-                executed += count
-                cycle += 1
-                if settle is not None:
-                    settle(self)
-                if stop_when_all_detected \
-                        and np.array_equal(detected_row, row_ones):
-                    return self._row_to_int_np(detected_row), executed
-                index = stop
-                continue
-            if settle is not None:
-                settle(self)
-            index += 1
-        return self._row_to_int_np(detected_row), executed
-
     def _lower_table(self, table) -> list[tuple[int, list[int]]]:
         """Per-plane shift/XOR plan of one constant-multiplier table.
 
@@ -1183,18 +616,6 @@ class PackedMemoryArray:
                           if (column >> dst) & 1]
             if dst_shifts:
                 plan.append((src * lanes, dst_shifts))
-        return plan
-
-    def _lower_table_planes(self, table) -> list[tuple[int, tuple[int, ...]]]:
-        """:meth:`_lower_table` with plane *indices* instead of bit
-        shifts -- the numpy executor addresses planes as array rows."""
-        plan: list[tuple[int, tuple[int, ...]]] = []
-        for src in range(self._m):
-            image = table[1 << src]
-            dst_planes = tuple(dst for dst in range(self._m)
-                               if (image >> dst) & 1)
-            if dst_planes:
-                plan.append((src, dst_planes))
         return plan
 
 

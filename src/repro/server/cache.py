@@ -3,9 +3,10 @@
 A coverage campaign is a pure function of its
 :class:`~repro.analysis.request.CampaignRequest`: the stream digest
 (:meth:`~repro.sim.ir.OpStream.digest`), the
-:class:`~repro.faults.universe.UniverseSpec`, the engine/backend and the
-geometry fully determine the :class:`CoverageReport` -- the request's
-``cache_key()`` is a SHA-256 content address over exactly those parts.
+:class:`~repro.faults.universe.UniverseSpec` and the geometry fully
+determine the :class:`CoverageReport` -- every engine returns the same
+report -- and the request's ``cache_key()`` is a SHA-256 content address
+over exactly those parts (plus a key-format version).
 :class:`ResultCache` exploits that:
 
 * **in-process LRU** -- the hot tier; bounded entry count, most recently

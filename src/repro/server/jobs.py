@@ -76,9 +76,10 @@ class JobManager:
         The :class:`~repro.server.cache.ResultCache` campaign work runs
         against (None = the process default).
     max_workers:
-        Concurrent campaigns (threads).  The engines release the GIL in
-        their numpy inner loops, so two is a useful default even
-        in-process.
+        Concurrent campaigns (threads).  The engines are pure Python
+        and hold the GIL, so threads overlap only waiting -- on
+        pool-sharded campaigns (``workers > 0``) and cache I/O -- but
+        two still keep one long campaign from stalling the queue.
     history:
         Finished jobs retained for polling; the oldest are dropped
         beyond this bound.

@@ -306,8 +306,7 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 # (:mod:`repro.sim.batched` fans whole lane passes out the same flow)
 # are
 #
-#     ("lane"|"lane-list", token, spec, kind, lo, hi, faults, n, m,
-#      backend)
+#     ("lane"|"lane-list", token, spec, kind, lo, hi, faults, n, m)
 #
 # covering members ``[lo:hi]`` of the partition class ``kind``.
 # Every completed task yields one payload
@@ -384,7 +383,7 @@ def _run_lane_task(task) -> tuple:
     from repro.memory.packed import PackedMemoryArray
     from repro.sim.batched import build_lane_model
 
-    tag, token, spec, kind, lo, hi, faults, n, m, backend = task
+    tag, token, spec, kind, lo, hi, faults, n, m = task
     stream = worker_stream(token)
     start = perf_counter()
     if tag == "lane":
@@ -393,7 +392,7 @@ def _run_lane_task(task) -> tuple:
     else:  # "lane-list": explicit faults (universes without a spec)
         semantics = [fault.vector_semantics() for fault in faults]
     model = build_lane_model(kind, semantics)
-    packed = PackedMemoryArray(n, lanes=len(semantics), m=m, backend=backend)
+    packed = PackedMemoryArray(n, lanes=len(semantics), m=m)
     model.install(packed)
     detected, executed = packed.apply_stream(stream.ops, tables=stream.tables,
                                              model=model)

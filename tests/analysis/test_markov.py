@@ -20,7 +20,7 @@ class TestChainBasics:
 
     def test_transition_matrix_rows_sum_to_one(self):
         matrix = DetectionMarkovChain(0.3).transition_matrix()
-        assert matrix.sum(axis=1).tolist() == [1.0, 1.0]
+        assert [sum(row) for row in matrix] == [1.0, 1.0]
 
     def test_geometric_formula(self):
         chain = DetectionMarkovChain(0.5)

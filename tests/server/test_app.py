@@ -27,7 +27,7 @@ class TestSchemes:
                 "quad-schedule"} == selectors
         assert payload["engines"] == ["auto", "compiled", "batched",
                                       "interpreted"]
-        assert payload["backends"] == ["auto", "int", "numpy"]
+        assert "backends" not in payload
 
     def test_post_is_405(self, client):
         assert client.post("/schemes", {}).status == 405
@@ -105,6 +105,10 @@ class TestCoverageEndpoint:
                                {"test": "quad-port", "n": 13})
         assert response.status == 400
         assert "even n" in response.json()["error"]
+        response = client.post("/coverage",
+                               {"test": "mats", "n": 8, "backend": "int"})
+        assert response.status == 400
+        assert "unknown field(s) ['backend']" in response.json()["error"]
 
     def test_invalid_json_is_400(self, client):
         response = client.request("POST", "/coverage")

@@ -25,7 +25,7 @@ class TestRequestRoundTrip:
     def test_full(self):
         body = {
             "test": "prt3", "n": 32, "m": 4, "engine": "batched",
-            "backend": "numpy", "workers": 2, "pure": True,
+            "workers": 2, "pure": True,
             "poly": "1+z+z^4",
             "universe": {"generator": "single_cell",
                          "kwargs": {"n": 32, "m": 4}},
@@ -65,6 +65,8 @@ class TestRequestValidation:
     def test_unknown_fields_rejected(self):
         with pytest.raises(SchemaError, match="unknown field"):
             request_from_dict({"test": "mats", "n": 8, "speed": "max"})
+        with pytest.raises(SchemaError, match="unknown field"):
+            request_from_dict({"test": "mats", "n": 8, "backend": "int"})
 
     def test_not_a_dict(self):
         with pytest.raises(SchemaError, match="expected dict"):

@@ -10,11 +10,13 @@ that shows up in this file) and check stability across recompiles,
 pickling, and a real process boundary.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
-from repro.analysis.request import CampaignRequest
+from repro.analysis import request as request_module
+from repro.analysis.request import ENGINES, CampaignRequest
 from repro.faults import single_cell_universe
 from repro.march.library import MARCH_C_MINUS, MATS
 from repro.prt import standard_schedule
@@ -28,7 +30,7 @@ MATS_8_DIGEST = (
     "188eb55669d72ee1ab717e822895998101599271726ac2eeead943ea85d9bd1f"
 )
 MATS_8_CACHE_KEY = (
-    "fb01f3a364133502f2ca9490c3dcbdb910bd54a146c59a786e7ebfb7ca4ecef4"
+    "7d03fda1d916ff5a871c5f82f8d72b1b7c74083dfdbeaceb52eee78161fa25b2"
 )
 
 
@@ -104,10 +106,19 @@ class TestCacheKeySemantics:
         sharded = base.replace(workers=4)
         assert base.cache_key() == sharded.cache_key()
 
-    def test_engine_and_backend_in_cache_key(self):
-        base = CampaignRequest(test="march-c", n=16)
-        assert base.cache_key() != base.replace(engine="batched").cache_key()
-        assert base.cache_key() != base.replace(backend="int").cache_key()
+    def test_engines_share_one_versioned_cache_key(self, monkeypatch):
+        # Every engine returns the same report, so all of them share one
+        # cache entry.
+        base = CampaignRequest(test="mats", n=8)
+        keys = {base.replace(engine=engine).cache_key() for engine in ENGINES}
+        assert keys == {MATS_8_CACHE_KEY}
+        # The key-format version is part of the hashed text: bumping it
+        # moves every key, so entries of an older format miss.
+        resolved = request_module.resolve_campaign(base)
+        monkeypatch.setattr(request_module, "CACHE_KEY_VERSION",
+                            request_module.CACHE_KEY_VERSION + 1)
+        bumped = dataclasses.replace(resolved, _cache_key=None).cache_key
+        assert bumped != MATS_8_CACHE_KEY
 
     def test_geometry_in_cache_key(self):
         base = CampaignRequest(test="march-c", n=16)

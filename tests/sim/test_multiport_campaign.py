@@ -473,15 +473,14 @@ class TestGroupedRetentionClock:
                                                           mismatches=mm))
             assert generic == (detected, dump), pause
             fault = DataRetentionFault(2, retention=self.RETENTION)
-            for backend in ("int", "numpy"):
-                model = build_lane_model("retention",
-                                         [fault.vector_semantics()])
-                packed = PackedMemoryArray(8, lanes=1, backend=backend)
-                model.install(packed)
-                lanes, _ = packed.apply_stream(
-                    ops, model=model, stop_when_all_detected=False)
-                assert bool(lanes) == detected, (backend, pause)
-                assert packed.dump_lane(0) == dump, (backend, pause)
+            model = build_lane_model("retention",
+                                     [fault.vector_semantics()])
+            packed = PackedMemoryArray(8, lanes=1)
+            model.install(packed)
+            lanes, _ = packed.apply_stream(
+                ops, model=model, stop_when_all_detected=False)
+            assert bool(lanes) == detected, pause
+            assert packed.dump_lane(0) == dump, pause
         assert verdicts == [False, False, False, True, True, True]
 
 

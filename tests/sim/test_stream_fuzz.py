@@ -1,4 +1,4 @@
-"""Differential executor fuzzing: random valid OpStreams, six executors.
+"""Differential executor fuzzing: random valid OpStreams, five executors.
 
 Hypothesis generates random *valid* operation streams -- flat and
 cycle-grouped records, mixed ``w/r/s/ra/wa/i`` kinds, word widths m in
@@ -11,20 +11,21 @@ codebase:
   its cycle accounting legitimately inflates, see the stream_exec module
   docstring, so it is excluded from the clock assertions),
 * ``SinglePortRAM.apply_stream`` (flat single-port streams),
-* ``PackedMemoryArray.apply_stream``, one fault-free lane, int backend,
-* ``PackedMemoryArray.apply_stream``, one fault-free lane, numpy backend.
+* ``PackedMemoryArray.apply_stream``, one fault-free lane (the single
+  int-column executor every word width runs on; a fixed m=1 example
+  reaches the bit-oriented case on every run).
 
 Every executor must agree on the final memory image (trailing ``"wa"``
 flush records fold the per-id accumulators into it), the executed-record
 count, the captured signature values and the detection verdict; the
 cycle-capable executors must additionally agree on the exact clock trace
-(observed on the packed backends through a timed no-fault probe model).
+(observed on the packed executor through a timed no-fault probe model).
 Recurrence tables are GF(2)-linear by construction -- generated from
-random basis images -- which is the invariant the packed backend's
+random basis images -- which is the invariant the packed executor's
 shift/XOR table lowering assumes and the compilers guarantee.
 """
 
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from repro.memory import (
@@ -194,7 +195,28 @@ def _native(ram, ops, **kwargs):
     return ram.apply_stream(ops, **kwargs)
 
 
+#: A fixed bit-oriented (m=1) two-port stream with every record kind and
+#: a detecting read: the packed executor has no separate m=1 path, so
+#: this example keeps the one-plane case covered whatever Hypothesis draws.
+_BIT_OPS = (
+    ("w", 0, 0, 1, None, 0),
+    ("ra", 1, 0, 0, 1, 0),
+    ("s", 0, 1, None, 0, 0),
+    ("i", 0, 0, 0, None, 2),
+    ("grp", 0, 0, 2, None, 0),
+    ("wa", 0, 1, 1, None, 0),
+    ("r", 1, 0, None, 1, 0),
+    ("r", 0, 2, None, 1, 0),
+    ("wa", 0, 0, 0, None, 0),
+    ("wa", 0, 1, 0, None, 1),
+)
+BIT_STREAM = OpStream(source="fuzz", name="fuzz-m1", n=3, m=1, ops=_BIT_OPS,
+                      info=((0, "fuzz"),) * len(_BIT_OPS),
+                      tables=(_linear_table([1]),), ports=2)
+
+
 @given(op_streams())
+@example(BIT_STREAM)
 @settings(max_examples=50, deadline=None)
 def test_all_executors_agree(stream):
     ticks, total_cycles = _expected_clock(stream.ops)
@@ -230,22 +252,20 @@ def test_all_executors_agree(stream):
         assert single.dump() == base_dump
         assert single.stats.cycles == total_cycles
 
-    # Packed executors: one fault-free lane per backend.  The detection
-    # mask is monotone (no per-mismatch list), so the verdict compares
-    # as a boolean; the clock trace is observed through the probe model.
-    for backend in ("int", "numpy"):
-        probe = _ClockProbe()
-        captured = []
-        packed = PackedMemoryArray(stream.n, lanes=1, m=stream.m,
-                                   backend=backend)
-        detected, executed = packed.apply_stream(
-            stream.ops, tables=stream.tables, model=probe,
-            stop_when_all_detected=False, captured=captured)
-        assert executed == base_exec, backend
-        assert bool(detected) == bool(base_mm), backend
-        assert captured == base_cap, backend
-        assert packed.dump_lane(0) == base_dump, backend
-        assert probe.ticks == ticks, backend
+    # Packed executor: one fault-free lane.  The detection mask is
+    # monotone (no per-mismatch list), so the verdict compares as a
+    # boolean; the clock trace is observed through the probe model.
+    probe = _ClockProbe()
+    captured = []
+    packed = PackedMemoryArray(stream.n, lanes=1, m=stream.m)
+    detected, executed = packed.apply_stream(
+        stream.ops, tables=stream.tables, model=probe,
+        stop_when_all_detected=False, captured=captured)
+    assert executed == base_exec
+    assert bool(detected) == bool(base_mm)
+    assert captured == base_cap
+    assert packed.dump_lane(0) == base_dump
+    assert probe.ticks == ticks
 
 
 def test_shrinking_finds_minimal_failing_stream():
