@@ -6,8 +6,8 @@ n in {64, 256, 1024}, on four paths:
 
 * ``interpreted`` -- the seed behaviour: re-run the interpreted engine
   for every fault (``run_coverage(engine="interpreted")``),
-* ``compiled``    -- compile once, replay with early abort (the default
-  ``repro.sim`` campaign path, single process),
+* ``compiled``    -- compile once, replay per fault with early abort
+  (``engine="compiled"``, single process),
 * ``compiled-mp`` -- the same with ``workers=2`` (omitted when the
   platform cannot fork),
 * ``batched``     -- the bit-packed lane-parallel engine
@@ -94,6 +94,15 @@ materializing the universe.  The acceptance bar is >= 100x at n=1024
 (``min_cache_speedup``); in practice the hit is microseconds against a
 half-second campaign, three to four orders of magnitude.
 
+A tenth section (``default_rows``) keeps the *default path* fast: one
+``run_request(CampaignRequest(test, n, m), cache=False)`` on the default
+``engine="auto"`` against the same request with ``engine="compiled"``,
+for March C- and PRT-3 at one bit-oriented and one word-oriented
+geometry.  ``default_vs_compiled`` is a same-host ratio, and
+``tools/check_bench.py`` fails when it drops below 2 on a row of at
+least 1000 faults -- the sign that ``"auto"`` stopped resolving to the
+lane-parallel engine.
+
 Reports are cross-checked for equality on every path before a number is
 emitted.  Run as a script::
 
@@ -127,6 +136,7 @@ from repro.analysis import (  # noqa: E402
     march_runner,
     quad_port_runner,
     run_coverage,
+    run_request,
     schedule_runner,
 )
 from repro.faults import (  # noqa: E402
@@ -198,7 +208,8 @@ def bench_one(name: str, runner_factory, n: int, workers: int) -> dict:
         universe = universe.sample(sample)
     t_int, r_int = _time_coverage(runner_factory(), universe, n,
                                   engine="interpreted")
-    t_cmp, r_cmp = _time_coverage(runner_factory(), universe, n)
+    t_cmp, r_cmp = _time_coverage(runner_factory(), universe, n,
+                                  engine="compiled")
     if _report_key(r_int) != _report_key(r_cmp):
         raise AssertionError(
             f"{name} n={n}: compiled campaign diverged from interpreted"
@@ -222,7 +233,7 @@ def bench_one(name: str, runner_factory, n: int, workers: int) -> dict:
     }
     if workers > 0:
         t_mp, r_mp = _time_coverage(runner_factory(), universe, n,
-                                    workers=workers)
+                                    engine="compiled", workers=workers)
         if _report_key(r_int) == _report_key(r_mp):
             row["compiled_mp_s"] = round(t_mp, 3)
             row["speedup_mp"] = round(t_int / t_mp, 2) if t_mp else float("inf")
@@ -235,7 +246,8 @@ def bench_single_cell(n: int) -> list[dict]:
     universe = single_cell_universe(n, classes=("SAF", "TF"))
     rows = []
     for name, build in TESTS:
-        t_cmp, r_cmp = _time_coverage(build(n), universe, n)
+        t_cmp, r_cmp = _time_coverage(build(n), universe, n,
+                                      engine="compiled")
         t_bat, r_bat = _time_coverage(build(n), universe, n,
                                       engine="batched")
         if _report_key(r_cmp) != _report_key(r_bat):
@@ -282,7 +294,8 @@ def bench_multiport(n: int) -> list[dict]:
     for name, build in MULTIPORT_SCHEMES:
         t_int, r_int = _time_coverage(build(), universe, n,
                                       engine="interpreted")
-        t_cmp, r_cmp = _time_coverage(build(), universe, n)
+        t_cmp, r_cmp = _time_coverage(build(), universe, n,
+                                      engine="compiled")
         if _report_key(r_int) != _report_key(r_cmp):
             raise AssertionError(
                 f"{name} n={n}: compiled multi-port campaign diverged "
@@ -397,7 +410,8 @@ def bench_wordlane(n: int) -> list[dict]:
                  _capped(npsf_universe(n, max_victims=32)), 1,
                  "NPSF lanes"))
     for name, build, faults, m, label in jobs:
-        t_cmp, r_cmp = _time_coverage(build(n), faults, n, m=m)
+        t_cmp, r_cmp = _time_coverage(build(n), faults, n, m=m,
+                                      engine="compiled")
         t_bat, r_bat = _time_coverage(build(n), faults, n, m=m,
                                       engine="batched")
         if _report_key(r_cmp) != _report_key(r_bat):
@@ -456,7 +470,7 @@ def bench_fallback_census(n: int, m: int) -> dict:
     scalar_s = 0.0
     if scalar_faults:
         scalar_s, _ = _time_coverage(march_runner(MARCH_C_MINUS),
-                                     scalar_faults, n, m=m)
+                                     scalar_faults, n, m=m, engine="compiled")
     row = {
         "test": "March C-",
         "n": n,
@@ -600,7 +614,7 @@ def bench_class_costs(n: int) -> list[dict]:
             step = len(faults) // CLASS_COST_SAMPLE
             faults = faults[::step][:CLASS_COST_SAMPLE]
         elapsed, _report = _time_coverage(march_runner(MARCH_C_MINUS),
-                                          faults, n)
+                                          faults, n, engine="compiled")
         measured[fault_class] = (len(faults), elapsed / len(faults))
     floor = min(per_fault for _count, per_fault in measured.values())
     rows = []
@@ -746,6 +760,51 @@ def bench_cache(n: int) -> list[dict]:
     return rows
 
 
+DEFAULT_REPEATS = 3
+
+
+def _best_request_s(request: CampaignRequest):
+    """Best-of-``DEFAULT_REPEATS`` wall clock of one uncached request."""
+    best = float("inf")
+    for _ in range(DEFAULT_REPEATS):
+        start = time.perf_counter()
+        report = run_request(request, cache=False)
+        best = min(best, time.perf_counter() - start)
+    return best, report
+
+
+def bench_default(n: int, m: int) -> list[dict]:
+    """The default engine against the per-fault compiled engine.
+
+    Each request runs uncached, best of a few, so the one-off stream
+    compile the first run pays (shared by both engines) drops out.
+    """
+    rows = []
+    for name, selector in CACHE_TESTS:
+        request = CampaignRequest(test=selector, n=n, m=m)
+        default_s, report = _best_request_s(request)
+        compiled_s, compiled = _best_request_s(
+            request.replace(engine="compiled"))
+        if _report_key(report) != _report_key(compiled):
+            raise AssertionError(
+                f"{name} n={n} m={m}: default engine diverged from compiled")
+        speedup = round(compiled_s / default_s, 2)
+        rows.append({
+            "test": name,
+            "n": n,
+            "m": m,
+            "universe": f"standard m={m} (default engine)",
+            "faults": sum(report.total.values()),
+            "coverage": round(report.overall, 4),
+            "default_s": round(default_s, 4),
+            "compiled_s": round(compiled_s, 4),
+            "default_vs_compiled": speedup,
+        })
+        print(f"{name:>9} n={n:<5} m={m} default {default_s:>7.3f}s  "
+              f"compiled {compiled_s:>7.3f}s  x{speedup}")
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=str, default=None,
@@ -777,6 +836,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_sizes = [64]
         class_cost_sizes = [64]
         balance_sizes = [64]
+        default_geometries = [(64, 1), (32, 4)]
     else:
         sizes = list(args.sizes)
         single_cell_sizes = sorted({256, args.single_cell_n})
@@ -787,6 +847,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_sizes = [1024]
         class_cost_sizes = [256]
         balance_sizes = [256]
+        default_geometries = [(256, 1), (64, 4)]
 
     rows = []
     for n in sizes:
@@ -819,6 +880,9 @@ def main(argv: list[str] | None = None) -> int:
     cache_rows = []
     for n in cache_sizes:
         cache_rows.extend(bench_cache(n))
+    default_rows = []
+    for n, m in default_geometries:
+        default_rows.extend(bench_default(n, m))
     sharded_rows = []
     if args.workers > 0:
         for n in sharded_sizes:
@@ -876,6 +940,10 @@ def main(argv: list[str] | None = None) -> int:
         # cold campaign at n=1024 (quick mode's n=64 rows are still far
         # above the bar, but the documented number is the full-run one).
         "min_cache_speedup": min(r["speedup_warm"] for r in cache_rows),
+        "default_rows": default_rows,
+        # check_bench fails when this drops below 2 on >= 1000 faults.
+        "min_default_speedup": min(
+            r["default_vs_compiled"] for r in default_rows),
         "sharded_rows": sharded_rows,
         # Cost-model calibration: CostModel.from_benchmark(summary)
         # rebuilds the relative class-cost table from these rows.

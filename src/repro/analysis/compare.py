@@ -68,7 +68,9 @@ def compare_tests(entries: list[tuple[str, Runner, int]],
     ``operation_count`` is the test's cost on the n-cell memory (exact
     counts from :mod:`repro.analysis.complexity` or the engines' own
     accounting).  Each compilable runner is lowered once and replayed by
-    the batched campaign engine; ``workers`` fans each campaign out over
+    the lane-parallel batched campaign engine
+    (:func:`~repro.sim.batched.run_campaign_batched`, what the default
+    ``engine="auto"`` resolves to); ``workers`` fans each campaign out over
     that many processes (0 = in-process).  All rows share one persistent
     worker pool (``pool``, or the process-wide shared pool), so pool
     startup is paid once for the whole table, not per test.

@@ -12,8 +12,9 @@ test detected a fault.  Adapters wrap March tests
 single π-iterations (:func:`iteration_runner`).  The adapters are
 *compilable*: they also expose ``compile(n, m) -> OpStream``, which lets
 :func:`run_coverage` lower the test once and hand the whole universe to
-the batched campaign engine (:func:`repro.sim.campaign.run_campaign`)
-instead of re-interpreting the test per fault.  Opaque custom callables
+the lane-parallel campaign engine
+(:func:`repro.sim.batched.run_campaign_batched`) instead of
+re-interpreting the test per fault.  Opaque custom callables
 still work -- they just take the interpreted per-fault loop.
 """
 
@@ -50,7 +51,13 @@ __all__ = [
     "dual_port_runner",
     "quad_port_runner",
     "multi_schedule_runner",
+    "ENGINES",
 ]
+
+#: Valid campaign engines: the one list read by ``run_coverage``'s
+#: dispatch, the request resolver, the CLI ``--engine`` choices and the
+#: server's ``/schemes`` listing.
+ENGINES = ("auto", "compiled", "batched", "interpreted")
 
 Runner = Callable[[SinglePortRAM], bool]
 
@@ -183,22 +190,27 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
 
     When the runner is compilable (the :func:`march_runner` /
     :func:`schedule_runner` / :func:`iteration_runner` adapters are), the
-    test is lowered once and the whole universe is replayed by
-    :func:`repro.sim.campaign.run_campaign` -- same per-fault verdicts,
-    far less work per fault.  ``engine`` selects the path: ``"auto"``
-    (compile when possible), ``"compiled"`` (require a compilable
-    runner), ``"batched"`` (require a compilable runner and resolve
-    vectorizable fault classes lane-parallel via
+    test is lowered once and the whole universe is replayed from the
+    stream -- same per-fault verdicts, far less work per fault.
+    ``engine`` selects the path (one of :data:`ENGINES`): ``"auto"``
+    (the default: ``"batched"`` when the runner is compilable,
+    ``"interpreted"`` otherwise), ``"batched"`` (require a compilable
+    runner and resolve vectorizable fault classes lane-parallel via
     :func:`repro.sim.batched.run_campaign_batched`, on bit- and
-    word-oriented geometries alike -- fastest on universes dominated by
-    single-cell or coupling faults), or ``"interpreted"`` (force the
-    legacy per-fault loop).  ``workers > 0`` fans the compiled campaign
-    out over that many processes (requires a picklable ``ram_factory``)
-    on the persistent shared pool of :mod:`repro.sim.pool` -- or on
-    ``pool``, an explicit :class:`~repro.sim.pool.WorkerPool` to reuse
-    across many campaigns.  With ``engine="batched"`` the lane passes
-    (int columns on a :class:`~repro.memory.packed.PackedMemoryArray`)
-    run concurrently with the pooled scalar remainder.
+    word-oriented geometries alike; custom faults and a custom
+    ``ram_factory`` take its scalar path), ``"compiled"`` (require a
+    compilable runner and replay every fault on its own via
+    :func:`repro.sim.campaign.run_campaign`), or ``"interpreted"``
+    (force the legacy per-fault loop).  Every engine returns the same
+    report.  ``workers > 0`` fans the campaign out over that many
+    processes (requires a picklable ``ram_factory``) on the persistent
+    shared pool of :mod:`repro.sim.pool` -- or on ``pool``, an explicit
+    :class:`~repro.sim.pool.WorkerPool` to reuse across many campaigns.
+    On the batched engine the pool takes the scalar remainder, plus
+    lane-pass chunks past ``LANE_SHARD_MIN_FAULTS`` vectorizable
+    faults, while the parent runs its lane passes (int columns on a
+    :class:`~repro.memory.packed.PackedMemoryArray`); a smaller, fully
+    vectorizable universe never starts the pool.
 
     >>> from repro.faults import single_cell_universe
     >>> from repro.march.library import MARCH_C_MINUS
@@ -222,11 +234,8 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
             "run_coverage needs (runner, universe, n) -- or a single "
             "CampaignRequest"
         )
-    if engine not in ("auto", "compiled", "batched", "interpreted"):
-        raise ValueError(
-            f"engine must be 'auto', 'compiled', 'batched' or "
-            f"'interpreted', got {engine!r}"
-        )
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     compile_fn = getattr(runner, "compile", None)
     if engine in ("compiled", "batched") and compile_fn is None:
         raise ValueError(
@@ -240,7 +249,7 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
         campaign = (run_campaign_batched(
             stream, universe, ram_factory=ram_factory,
             workers=workers, pool=pool, progress=progress)
-            if engine == "batched"
+            if engine != "compiled"
             else run_campaign(stream, universe, ram_factory=ram_factory,
                               workers=workers, pool=pool,
                               progress=progress))

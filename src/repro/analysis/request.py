@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 
 from repro.analysis.complexity import march_operations
 from repro.analysis.coverage import (
+    ENGINES,
     CompilableRunner,
     CoverageReport,
     dual_port_runner,
@@ -91,10 +92,6 @@ __all__ = [
     "known_tests",
     "ENGINES",
 ]
-
-#: Valid campaign engines (shared by the resolver, ``run_coverage`` and
-#: the CLI/server option surfaces).
-ENGINES = ("auto", "compiled", "batched", "interpreted")
 
 #: Version of the :attr:`ResolvedCampaign.cache_key` text format.  It
 #: prefixes the hashed text, so entries written under an older format

@@ -40,6 +40,7 @@ from repro.analysis import (
     execute_request,
     resolve_campaign,
 )
+from repro.analysis.coverage import ENGINES
 from repro.analysis.request import build_field as _build_field
 from repro.faults import (
     DataRetentionFault,
@@ -56,6 +57,7 @@ from repro.prt import (
     extended_schedule,
     standard_schedule,
 )
+from repro.sim.batched import LANE_SHARD_MIN_FAULTS
 
 __all__ = ["main"]
 
@@ -334,17 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "iterations with transparent verification riding "
                         "the write cycles' idle ports and a port-parallel "
                         "read-back; --pure drops the verification); the "
-                        "port schemes replace --test and replay through "
-                        "the compiled cycle-grouped engine")
+                        "port schemes replace --test, and the default "
+                        "batched engine replays them as lane-parallel "
+                        "cycle groups")
     p.add_argument("--pure", action="store_true")
     p.add_argument("--workers", type=int, default=0,
                    help="shard the campaign over N worker processes "
-                        "(0 = serial); with --engine batched the lane "
-                        "passes overlap the scalar remainder")
-    p.add_argument("--engine",
-                   choices=("auto", "interpreted", "compiled", "batched"),
-                   default="auto",
-                   help="campaign engine: auto (compile when possible), "
+                        "(0 = serial); on the batched engine (the default) "
+                        "the pool takes only the scalar remainder and, past "
+                        f"{LANE_SHARD_MIN_FAULTS} vectorizable faults, "
+                        "lane-pass chunks, so a smaller fully vectorizable "
+                        "universe runs in-process and never starts the "
+                        "pool")
+    p.add_argument("--engine", choices=ENGINES, default="auto",
+                   help="campaign engine: auto (batched when the test "
+                        "compiles, which every --test and --scheme does; "
+                        "interpreted otherwise), "
                         "interpreted (legacy per-fault loop), compiled "
                         "(per-fault stream replay), batched (bit-packed "
                         "lane-parallel fault classes, bit- and "

@@ -250,6 +250,57 @@ class TestCheckBenchCacheRows:
         assert any("floor 500x" in r for r in bad)
 
 
+class TestCheckBenchDefaultRows:
+    """The current-run-only default-engine gate."""
+
+    @staticmethod
+    def _shared():
+        return [{"test": "March C-", "n": 64, "compiled_s": 1.0}]
+
+    @staticmethod
+    def _default_row(**overrides):
+        row = {"test": "March C-", "n": 64, "m": 1,
+               "universe": "standard m=1 (default engine)", "faults": 1738,
+               "default_s": 0.02, "compiled_s": 0.2,
+               "default_vs_compiled": 10.0}
+        row.update(overrides)
+        return row
+
+    def test_slow_default_is_a_regression(self):
+        # The committed baseline predates default_rows: the gate must
+        # still fire on the current run alone.
+        base = {"rows": self._shared()}
+        current = {"rows": self._shared(),
+                   "default_rows": [self._default_row(
+                       default_vs_compiled=1.1)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert any("only 1.10x faster than engine='compiled'" in r
+                   for r in regressions)
+
+    def test_fast_default_passes(self):
+        base = {"rows": self._shared()}
+        current = {"rows": self._shared(),
+                   "default_rows": [self._default_row()]}
+        lines, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert not regressions
+        assert any("default engine" in line and "ok" in line
+                   for line in lines)
+
+    def test_small_row_is_exempt(self):
+        base = {"rows": self._shared()}
+        current = {"rows": self._shared(),
+                   "default_rows": [self._default_row(
+                       faults=874, default_vs_compiled=1.0)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert not regressions
+
+    def test_default_timings_diff_against_baseline(self):
+        base = {"default_rows": [self._default_row()]}
+        current = {"default_rows": [self._default_row(default_s=0.5)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.01)
+        assert any("default_s" in r for r in regressions)
+
+
 class TestCheckBenchSchedulerGates:
     """The current-run-only parallel-scheduler gates."""
 

@@ -27,6 +27,14 @@ above ``--min-cache-speedup``.  Unlike cross-host absolute timings this
 ratio is host-independent, so it is compared directly against the
 current run rather than the baseline.
 
+``default_rows`` rows gate the *default engine* the same way: each
+row's ``default_vs_compiled`` (a default-engine request's wall clock
+against the same request on ``engine="compiled"``) must stay at or above
+``MIN_DEFAULT_SPEEDUP`` on rows of at least ``DEFAULT_GATE_MIN_FAULTS``
+faults.  Below that size fixed per-request costs swamp the ratio.  A
+ratio near 1 means ``engine="auto"`` no longer reaches the lane-parallel
+engine.
+
 Two more current-run-only ratio gates guard the parallel scheduler:
 
 * ``shard_balance_rows``: for every ``(test, n)`` the work-stealing
@@ -56,13 +64,18 @@ import sys
 
 ROW_SECTIONS = ("rows", "single_cell_rows", "multiport_rows",
                 "wordlane_rows", "sharded_rows", "cache_rows",
-                "shard_balance_rows", "fallback_summary")
+                "default_rows", "shard_balance_rows", "fallback_summary")
 
 #: run_campaign_batched ships whole lane-pass chunks to the pool only
 #: past this many vectorizable faults (repro.sim.batched
 #: LANE_SHARD_MIN_FAULTS); smaller lane-sharded rows measure pure
 #: dispatch overhead and are exempt from the speedup gate.
 LANE_SHARD_MIN_FAULTS = 4096
+
+#: Floor of a ``default_rows`` row's ``default_vs_compiled``; rows
+#: smaller than ``DEFAULT_GATE_MIN_FAULTS`` faults are exempt.
+MIN_DEFAULT_SPEEDUP = 2.0
+DEFAULT_GATE_MIN_FAULTS = 1000
 
 
 def _row_key(section: str, row: dict) -> tuple:
@@ -151,6 +164,26 @@ def compare(baseline: dict, current: dict, max_slowdown: float,
         lines.append(f"{label:>40} {'speedup_warm':>14} "
                      f"{speedup:>10.1f}x (floor "
                      f"{min_cache_speedup:.0f}x) {verdict}")
+    # Default-engine gate: same-host ratio of the default request to its
+    # engine="compiled" twin, checked against the current run alone.
+    for row in current.get("default_rows", ()):
+        speedup = row.get("default_vs_compiled")
+        if not isinstance(speedup, (int, float)) \
+                or row.get("faults", 0) < DEFAULT_GATE_MIN_FAULTS:
+            continue
+        label = f"{row.get('test')} n={row.get('n')} m={row.get('m')} " \
+                f"[default engine]"
+        verdict = "ok"
+        if speedup < MIN_DEFAULT_SPEEDUP:
+            verdict = "REGRESSION"
+            regressions.append(
+                f"{label}: the default engine is only {speedup:.2f}x "
+                f"faster than engine='compiled' (floor "
+                f"{MIN_DEFAULT_SPEEDUP:.1f}x)"
+            )
+        lines.append(f"{label:>40} {'vs_compiled':>14} "
+                     f"{speedup:>10.2f}x (floor "
+                     f"{MIN_DEFAULT_SPEEDUP:.1f}x) {verdict}")
     shared_keys = [key for key in base_rows if key in cur_rows]
     if not shared_keys:
         regressions.append(
