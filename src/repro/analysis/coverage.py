@@ -253,8 +253,17 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
             else run_campaign(stream, universe, ram_factory=ram_factory,
                               workers=workers, pool=pool,
                               progress=progress))
+        # report.record inlined: the report keeps names of missed faults
+        # only, so the per-fault name formatting is paid for misses.
+        total, hits = report.total, report.detected
+        missed = report.missed_faults
         for fault, detected in campaign.outcomes:
-            report.record(fault.fault_class, fault.name, detected)
+            fault_class = fault.fault_class
+            total[fault_class] = total.get(fault_class, 0) + 1
+            if detected:
+                hits[fault_class] = hits.get(fault_class, 0) + 1
+            else:
+                missed.append(fault.name)
         return report
     ports = getattr(runner, "ports", 1)
     faults = list(universe)

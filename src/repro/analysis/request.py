@@ -68,7 +68,11 @@ from repro.analysis.coverage import (
     run_coverage,
     schedule_runner,
 )
-from repro.faults.universe import FaultUniverse, UniverseSpec, standard_universe
+from repro.faults.universe import (
+    FaultUniverse,
+    UniverseSpec,
+    standard_universe_spec,
+)
 from repro.gf2 import poly_from_string, primitive_polynomial
 from repro.gf2m import GF2m
 from repro.march.library import MARCH_B, MARCH_C_MINUS, MATS, MATS_PLUS
@@ -192,8 +196,9 @@ class CampaignRequest:
         Memory geometry (cells x bits per cell).
     universe:
         Optional :class:`~repro.faults.universe.UniverseSpec`; ``None``
-        selects ``standard_universe(n, m)``.  Passing a spec (not a
-        fault list) is what keeps requests hashable and shardable.
+        selects ``standard_universe_spec(n, m)``, which needs
+        ``n >= 2``.  Passing a spec (not a fault list) is what keeps
+        requests hashable and shardable.
     engine, workers:
         Execution options, identical to ``run_coverage``'s kwargs.
         Both are excluded from :meth:`cache_key` -- they change wall
@@ -366,7 +371,17 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
         operations = runner.compile(n, m).operation_count
         test_name = display  # legacy CLI labels scheme reports by display
     if request.universe is None:
-        spec = standard_universe(n, m).spec
+        # The recipe only: enumerating the faults is the cold path's job
+        # (a cache hit never pays it).  Building is also where the
+        # generators validate, so the default universe's two-cell floor
+        # is checked here instead.
+        if n < 2:
+            raise RequestError(
+                f"the default universe needs n >= 2 (coupling, bridging "
+                f"and decoder faults span two cells), got n={n}; pass a "
+                f"universe spec to test a smaller memory"
+            )
+        spec = standard_universe_spec(n, m)
     else:
         if not isinstance(request.universe, UniverseSpec):
             raise RequestError(

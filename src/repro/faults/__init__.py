@@ -74,6 +74,7 @@ from repro.faults.universe import (
     bridging_universe,
     npsf_universe,
     standard_universe,
+    standard_universe_spec,
 )
 
 __all__ = [
@@ -109,4 +110,5 @@ __all__ = [
     "bridging_universe",
     "npsf_universe",
     "standard_universe",
+    "standard_universe_spec",
 ]

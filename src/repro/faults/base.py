@@ -21,14 +21,14 @@ across many test runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.memory.array import MemoryArray
 
 __all__ = ["Fault", "BitLocation", "VectorSemantics"]
 
 
-@dataclass(frozen=True)
-class VectorSemantics:
+class VectorSemantics(NamedTuple):
     """Lane-parallel description of a fault, for the bit-packed engine.
 
     A fault whose effect can be expressed as a few mask operations on a
@@ -73,8 +73,16 @@ class VectorSemantics:
                       pairs
     ================  =======================================================
 
+    It is a :class:`~typing.NamedTuple`, because the batched engine
+    builds one per fault on every cold campaign and a tuple is the
+    cheapest immutable record to construct.  Being a tuple, it compares
+    equal to a plain tuple of its fields in declaration order.
+
     >>> VectorSemantics("stuck", cell=3, value=1)
     VectorSemantics(kind='stuck', cell=3, bit=0, value=1, rising=None, victim_cell=None, victim_bit=None, extra=())
+    >>> VectorSemantics("stuck", cell=3) == ("stuck", 3, 0, None, None,
+    ...                                      None, None, ())
+    True
     """
 
     kind: str

@@ -13,7 +13,8 @@ canonical universes for a memory of ``n`` cells by ``m`` bits:
 * :func:`intra_word_universe` -- intra-word coupling for WOMs (claim C7);
 * :func:`bridging_universe` -- wired-AND/OR bridges between adjacent cells;
 * :func:`standard_universe` -- the union used by the headline experiments
-  (E3, E9).
+  (E3, E9); :func:`standard_universe_spec` is its recipe, built without
+  enumerating any fault.
 
 Every generator is deterministic (seeded sampling), which is what makes
 process sharding cheap: a universe built here carries a
@@ -61,6 +62,7 @@ __all__ = [
     "bridging_universe",
     "npsf_universe",
     "standard_universe",
+    "standard_universe_spec",
 ]
 
 
@@ -428,21 +430,55 @@ def npsf_universe(n: int, max_victims: int = 8, seed: int = 0) -> FaultUniverse:
         "npsf", n=n, max_victims=max_victims, seed=seed))
 
 
+def standard_universe_spec(n: int, m: int = 1, seed: int = 0) -> UniverseSpec:
+    """The :class:`UniverseSpec` of :func:`standard_universe`, built
+    without enumerating a single fault.
+
+    It is the union recipe the generators record when the universe is
+    assembled, so it equals ``standard_universe(n, m, seed).spec`` (and
+    has the same ``repr``, which is what cache keys hash).  Nothing is
+    validated here: an impossible geometry (``n < 2``) only fails when
+    the spec is built.
+
+    >>> spec = standard_universe_spec(8)
+    >>> [part.generator for part in spec.parts]
+    ['single_cell', 'coupling', 'bridging', 'decoder']
+    >>> spec == standard_universe(8).spec
+    True
+    """
+    parts = (
+        UniverseSpec.call("single_cell", n=n, m=m,
+                          classes=("SAF", "TF", "SOF"), retention=64),
+        UniverseSpec.call("coupling", n=n, m=m,
+                          classes=("CFin", "CFid", "CFst"),
+                          extra_random_pairs=0, seed=seed),
+        UniverseSpec.call("bridging", n=n),
+        UniverseSpec.call("decoder", n=n, max_addresses=8, seed=seed),
+    )
+    if m > 1:
+        parts += (UniverseSpec.call("intra_word", n=n, m=m,
+                                    classes=("CFin", "CFid", "CFst"),
+                                    max_cells=8, seed=seed),)
+    return UniverseSpec("union", parts=parts)
+
+
 def standard_universe(n: int, m: int = 1, seed: int = 0) -> FaultUniverse:
     """The union universe used by the headline experiments (E3, E9).
 
     Single-cell SAF/TF (every bit), SOF, coupling faults over adjacent
-    pairs, bridges, and the four decoder-fault types.  DRF is excluded by
-    default because detecting it requires explicit pause elements
-    (both March and PRT need the same added delay; see E3's notes).
+    pairs, bridges, and the four decoder-fault types, plus intra-word
+    coupling when ``m > 1``.  DRF is excluded by default because
+    detecting it requires explicit pause elements (both March and PRT
+    need the same added delay; see E3's notes).  This is
+    ``standard_universe_spec(n, m, seed).build()``: callers that only
+    need the recipe (cache keys, request resolution) should take
+    :func:`standard_universe_spec` and skip the enumeration.
+
+    >>> universe = standard_universe(8)
+    >>> universe.spec == standard_universe_spec(8)
+    True
     """
-    universe = single_cell_universe(n, m, classes=("SAF", "TF", "SOF"))
-    universe += coupling_universe(n, m, seed=seed)
-    universe += bridging_universe(n)
-    universe += decoder_universe(n, seed=seed)
-    if m > 1:
-        universe += intra_word_universe(n, m, seed=seed)
-    return universe
+    return standard_universe_spec(n, m, seed).build()
 
 
 # Spec-resolvable generators (see UniverseSpec).  standard_universe is

@@ -36,7 +36,6 @@ int columns, and a model implements e.g. stuck-at-1 on bit *b* as
 column OR applies the fault to hundreds of lanes at once.  Models
 position and combine their masks through the column/row helper surface
 (:meth:`PackedMemoryArray.spread`,
-:meth:`~PackedMemoryArray.shift_planes`,
 :meth:`~PackedMemoryArray.match_lanes`, the ``*_lanes`` mutators, ...)
 instead of touching the storage directly.  Models are built from
 :meth:`repro.faults.base.Fault.vector_semantics` descriptors by
@@ -277,24 +276,6 @@ class PackedMemoryArray:
         """The column with ``row`` replicated into every plane (the mask
         that selects *whole cells* of the row's lanes)."""
         return row * self._replicate
-
-    def row_to_plane(self, row: int, bit: int) -> int:
-        """The column with ``row`` positioned in plane ``bit`` only."""
-        return row << (bit * self._lanes)
-
-    def shift_planes(self, column: int, delta: int) -> int:
-        """``column`` moved ``delta`` planes up (negative: down); planes
-        shifted out of range are dropped.  This is the aggressor-plane ->
-        victim-plane repositioning coupling models use."""
-        if delta == 0:
-            return column
-        shifted = column << (delta * self._lanes) if delta > 0 \
-            else column >> (-delta * self._lanes)
-        return shifted & self._full
-
-    def plane(self, addr: int, bit: int) -> int:
-        """Plane ``bit`` of the column at ``addr``, as a row."""
-        return (self.words[addr] >> (bit * self._lanes)) & self._ones
 
     def match_lanes(self, addr: int, value_column: int) -> int:
         """Row of the lanes whose *whole m-bit cell* at ``addr`` equals

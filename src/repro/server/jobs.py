@@ -27,6 +27,7 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 from collections import OrderedDict
@@ -112,20 +113,29 @@ class JobManager:
                     break  # never drop a live job
         return job
 
+    def _queue(self, kind: str, run, payload) -> Job:
+        """Register a job, start ``run(job, payload)`` on the executor
+        and return the record as it stood at submission.
+
+        The copy is taken before the executor can touch the job, so the
+        submitter always sees ``"queued"`` however fast the campaign
+        finishes; :meth:`get` and :meth:`wait` serve the live record.
+        """
+        job = self._new_job(kind)
+        queued = dataclasses.replace(job)
+        self.executor.submit(run, job, payload)
+        return queued
+
     def submit_coverage(self, request: CampaignRequest) -> Job:
-        """Queue one coverage campaign; returns the (queued) job."""
+        """Queue one coverage campaign; returns the queued job record."""
         resolve_campaign(request)  # validate *before* queueing
-        job = self._new_job("coverage")
-        self.executor.submit(self._run_coverage, job, request)
-        return job
+        return self._queue("coverage", self._run_coverage, request)
 
     def submit_compare(self, requests: list[CampaignRequest]) -> Job:
         """Queue a comparison table over several requests."""
         for request in requests:
             resolve_campaign(request)
-        job = self._new_job("compare")
-        self.executor.submit(self._run_compare, job, requests)
-        return job
+        return self._queue("compare", self._run_compare, requests)
 
     # -- the workers ---------------------------------------------------------
 

@@ -148,69 +148,74 @@ class _TransitionLanes(LaneFaultModel):
         return new
 
 
-def _coupling_groups(pairs, stride):
-    """Group ``(lane, coupling semantics)`` pairs by condition.
+def _coupling_table(pairs, stride):
+    """Merge ``(lane, coupling semantics)`` pairs into one entry per pair.
 
-    Returns ``{aggressor_cell: [(victim, rising, force_to, mask, delta)]}``
-    with ``mask`` an int lane mask positioned in the aggressor bit's
-    plane and ``delta`` the aggressor->victim *plane* offset (zero for
-    bit-oriented and same-bit word faults; also covers the intra-word
-    case where aggressor and victim are bits of one cell).  One committed
-    write then touches each distinct victim word once, with a mask
-    covering every lane of that group that fired.
+    Returns ``{aggressor_cell: [(victim_cell, shift, rise_inv, rise_set,
+    rise_clr, fall_inv, fall_set, fall_clr)]}``: one entry per
+    (aggressor cell, victim cell, plane delta), where the plane delta is
+    the aggressor->victim bit offset (zero for bit-oriented and same-bit
+    word faults; also covers the intra-word case where aggressor and
+    victim are bits of one cell) and ``shift`` is that delta in column
+    bits.  The six int lane masks, one per (edge, effect), sit in each
+    lane's *victim* plane.  One fault per lane makes the masks
+    disjoint, so firing a whole entry at once is exact.
     """
-    grouped: dict[tuple, int] = {}
+    merged: dict[tuple[int, int, int], list[int]] = {}
     for lane, sem in pairs:
-        key = (sem.cell, sem.bit, sem.victim_cell, sem.victim_bit,
-               bool(sem.rising), sem.value)
-        grouped[key] = grouped.get(key, 0) | (1 << lane)
-    by_aggressor: dict[int, list] = {}
-    for (aggr, a_bit, victim, v_bit, rising, force_to), mask in \
-            grouped.items():
-        by_aggressor.setdefault(aggr, []).append(
-            (victim, rising, force_to, mask << (a_bit * stride),
-             v_bit - a_bit)
-        )
-    return by_aggressor
+        key = (sem.cell, sem.victim_cell, sem.victim_bit - sem.bit)
+        masks = merged.get(key)
+        if masks is None:
+            masks = merged[key] = [0] * 6
+        # slot = edge (rise 0, fall 3) + effect (invert, set, clear)
+        slot = (0 if sem.rising else 3) + (
+            0 if sem.value is None else 1 if sem.value else 2)
+        masks[slot] |= 1 << (sem.victim_bit * stride + lane)
+    table: dict[int, list[tuple]] = {}
+    for (aggr, victim, delta), masks in merged.items():
+        table.setdefault(aggr, []).append((victim, delta * stride, *masks))
+    return table
 
 
-def _fire_coupling_groups(memory, groups, rise, fall):
-    """Corrupt the victims of every group lane whose aggressor fired."""
-    for victim, rising, force_to, mask, delta in groups:
-        fired = (rise if rising else fall) & mask
-        if not fired:
-            continue
-        if delta:  # move from the aggressor plane to the victim plane
-            fired = memory.shift_planes(fired, delta)
-        if force_to is None:  # CFin: invert the victim bit
-            memory.xor_lanes(victim, fired)
-        elif force_to:  # CFid -> 1
-            memory.or_lanes(victim, fired)
-        else:  # CFid -> 0
-            memory.andnot_lanes(victim, fired)
+def _fire_coupling(memory, entries, rise, fall):
+    """Corrupt the victims of every entry lane whose aggressor fired."""
+    for victim, shift, r_inv, r_set, r_clr, f_inv, f_set, f_clr in entries:
+        if shift:  # line the aggressor-plane edges up with the victim's
+            up, down = ((rise << shift, fall << shift) if shift > 0
+                        else (rise >> -shift, fall >> -shift))
+        else:
+            up, down = rise, fall
+        invert = (up & r_inv) | (down & f_inv)
+        set_ = (up & r_set) | (down & f_set)
+        clear = (up & r_clr) | (down & f_clr)
+        if invert:  # CFin
+            memory.xor_lanes(victim, invert)
+        if set_:  # CFid -> 1
+            memory.or_lanes(victim, set_)
+        if clear:  # CFid -> 0
+            memory.andnot_lanes(victim, clear)
 
 
 class _CouplingLanes(LaneFaultModel):
     """CFin/CFid lanes: aggressor transitions corrupt per-lane victims.
 
-    Lanes are grouped by ``(aggressor bit, victim bit, edge, effect)``
-    (see :func:`_coupling_groups`); the aggressor mask sits in the
-    aggressor bit's plane and the fired lanes are repositioned into the
-    victim bit's plane before the corruption lands.
+    Lanes are merged per (aggressor cell, victim cell, plane delta)
+    (see :func:`_coupling_table`); each lane's mask sits in its victim
+    bit's plane, and the aggressor's edge columns are shifted into line
+    with it before the masks select the fired lanes.
     """
 
     def __init__(self, semantics: list[VectorSemantics]):
-        self._by_aggressor = _coupling_groups(
-            list(enumerate(semantics)), len(semantics))
+        self._by_aggressor = _coupling_table(
+            enumerate(semantics), len(semantics))
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
-        groups = self._by_aggressor.get(addr)
-        if groups is None:
+        entries = self._by_aggressor.get(addr)
+        if entries is None:
             return
         # rise: lanes whose aggressor bit went 0 -> 1; fall: the dual.
-        _fire_coupling_groups(memory, groups, ~old & committed,
-                              old & ~committed)
+        _fire_coupling(memory, entries, ~old & committed, old & ~committed)
 
 
 class _LinkedLanes(LaneFaultModel):
@@ -220,7 +225,7 @@ class _LinkedLanes(LaneFaultModel):
     scalar wrapper fires every component on each committed write with
     the *same* ``(old, committed)`` pair, mutating the victims
     sequentially.  Lane-parallel that becomes one
-    :func:`_coupling_groups` table per component *rank*: rank 0 of every
+    :func:`_coupling_table` per component *rank*: rank 0 of every
     lane fires first (possibly flipping victims), then rank 1 reads the
     already-corrupted state -- exactly the scalar masking order that
     makes linked CFin pairs cancel.
@@ -234,19 +239,19 @@ class _LinkedLanes(LaneFaultModel):
             pairs = [(lane, sem.extra[rank])
                      for lane, sem in enumerate(semantics)
                      if len(sem.extra) > rank]
-            self._steps.append(_coupling_groups(pairs, stride))
+            self._steps.append(_coupling_table(pairs, stride))
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
         rise = fall = None
         for step in self._steps:
-            groups = step.get(addr)
-            if groups is None:
+            entries = step.get(addr)
+            if entries is None:
                 continue
             if rise is None:  # shared edge masks, computed on first use
                 rise = ~old & committed
                 fall = old & ~committed
-            _fire_coupling_groups(memory, groups, rise, fall)
+            _fire_coupling(memory, entries, rise, fall)
 
 
 class _StuckOpenLanes(LaneFaultModel):
@@ -310,63 +315,75 @@ class _StateCouplingLanes(LaneFaultModel):
     The scalar model enforces its condition in ``settle`` (after every
     memory cycle) and in ``after_write`` (immediately, when the write
     touches the aggressor or victim cell).  Lane-parallel that becomes:
-    the *first* ``settle`` of a pass enforces every group (the scalar
+    the *first* ``settle`` of a pass enforces every entry (the scalar
     engines' first post-cycle settle -- cells power up un-forced, so a
     read issued before any cycle completes still observes the raw
-    state), and afterwards only a committed write can change a group's
+    state), and afterwards only a committed write can change an entry's
     aggressor state or overwrite its victim, so ``after_write`` enforces
-    exactly the groups touching the written cell.  Lanes are disjoint
-    across groups (one fault per lane), so enforcement never cascades.
+    exactly the entries touching the written cell.
+
+    Lanes are merged per (aggressor cell, aggressor bit, victim cell,
+    victim bit), so all four CFst variants of a pair share one entry of
+    lane masks: state-1 / state-0 and force-1 / force-0.  One fault per
+    lane makes each pair of masks disjoint, and an enforcement writes
+    only its own lanes, so it never cascades.
     """
 
     settles = True
 
     def __init__(self, semantics: list[VectorSemantics]):
-        grouped: dict[tuple[int, int, int, int, bool, int], int] = {}
+        stride = len(semantics)
+        merged: dict[tuple[int, int, int, int], list[int]] = {}
         for lane, sem in enumerate(semantics):
-            key = (sem.cell, sem.bit, sem.victim_cell, sem.victim_bit,
-                   bool(sem.rising), sem.value)
-            grouped[key] = grouped.get(key, 0) | (1 << lane)
-        #: (aggr_cell, aggr_bit, victim_cell, victim_bit, state,
-        #:  force_to, lane_row) per distinct coupling condition.
-        self._groups = [
-            (a_cell, a_bit, v_cell, v_bit, state, force_to, mask)
-            for (a_cell, a_bit, v_cell, v_bit, state, force_to), mask
-            in grouped.items()
+            key = (sem.cell, sem.bit, sem.victim_cell, sem.victim_bit)
+            masks = merged.get(key)
+            if masks is None:
+                masks = merged[key] = [0, 0, 0, 0]
+            bit = 1 << (sem.victim_bit * stride + lane)
+            masks[0 if sem.rising else 1] |= bit
+            masks[2 if sem.value else 3] |= bit
+        #: (aggr_cell, victim_cell, shift, state1, state0, force1,
+        #:  force0) per coupled pair: the masks sit in the victim plane
+        #: and ``shift`` moves the aggressor plane onto it.
+        self._entries = [
+            (a_cell, v_cell, (v_bit - a_bit) * stride, *masks)
+            for (a_cell, a_bit, v_cell, v_bit), masks in merged.items()
         ]
         self._by_cell: dict[int, list[tuple]] = {}
         self._enforced = False
-        for group in self._groups:
-            self._by_cell.setdefault(group[0], []).append(group)
-            if group[2] != group[0]:
-                self._by_cell.setdefault(group[2], []).append(group)
+        for entry in self._entries:
+            self._by_cell.setdefault(entry[0], []).append(entry)
+            if entry[1] != entry[0]:
+                self._by_cell.setdefault(entry[1], []).append(entry)
 
-    def _enforce(self, memory: PackedMemoryArray, groups) -> None:
-        for a_cell, a_bit, v_cell, v_bit, state, force_to, mask in groups:
-            aggressor = memory.plane(a_cell, a_bit) & mask
-            # Lanes (within this group) whose aggressor bit equals the
-            # coupling state; aggressor is a subset of mask, so the
-            # state-0 complement is just the XOR.
-            held = aggressor if state else aggressor ^ mask
+    def _enforce(self, memory: PackedMemoryArray, entries) -> None:
+        for a_cell, v_cell, shift, s1, s0, f1, f0 in entries:
+            aggressor = memory.read_lanes(a_cell)
+            if shift:
+                aggressor = aggressor << shift if shift > 0 \
+                    else aggressor >> -shift
+            # Lanes whose aggressor bit equals their coupling state.
+            held = (aggressor & s1) | (s0 & ~aggressor)
             if not held:
                 continue
-            column = memory.row_to_plane(held, v_bit)
-            if force_to:
-                memory.or_lanes(v_cell, column)
-            else:
-                memory.andnot_lanes(v_cell, column)
+            force1 = held & f1
+            if force1:
+                memory.or_lanes(v_cell, force1)
+            force0 = held & f0
+            if force0:
+                memory.andnot_lanes(v_cell, force0)
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
-        groups = self._by_cell.get(addr)
-        if groups is not None:
-            self._enforce(memory, groups)
+        entries = self._by_cell.get(addr)
+        if entries is not None:
+            self._enforce(memory, entries)
 
     def settle(self, memory: PackedMemoryArray) -> None:
         if self._enforced:
             return
         self._enforced = True
-        self._enforce(memory, self._groups)
+        self._enforce(memory, self._entries)
 
 
 class _NpsfLanes(LaneFaultModel):

@@ -75,6 +75,18 @@ class TestValidation:
         with pytest.raises(RequestError, match="unknown universe generator"):
             resolve_campaign(CampaignRequest(test="mats", n=8, universe=spec))
 
+    def test_default_universe_needs_two_cells(self):
+        with pytest.raises(RequestError, match="needs n >= 2"):
+            resolve_campaign(CampaignRequest(test="march-c", n=1))
+
+    def test_custom_universe_at_one_cell(self):
+        spec = UniverseSpec.call("single_cell", n=1, m=1,
+                                 classes=("SAF", "TF"), retention=64)
+        report = run_request(CampaignRequest(test="march-c", n=1,
+                                             universe=spec), cache=False)
+        assert report.total == {"SAF": 2, "TF": 2}
+        assert report.overall == 1.0
+
     def test_not_a_request(self):
         with pytest.raises(RequestError, match="expected a CampaignRequest"):
             resolve_campaign("march-c")
@@ -94,6 +106,24 @@ class TestResolution:
         a = resolve_campaign(CampaignRequest(test="march-c", n=32))
         b = resolve_campaign(CampaignRequest(test="march-c", n=32))
         assert a is b  # same runner -> same memoized compiled stream
+
+    def test_default_universe_is_never_enumerated(self, monkeypatch):
+        # Resolution and the cache key need the recipe only; building
+        # the faults is the cold path's job.
+        calls = []
+        build = UniverseSpec.build
+
+        def spy(self):
+            calls.append(self)
+            return build(self)
+
+        monkeypatch.setattr(UniverseSpec, "build", spy)
+        for m in (1, 4):
+            resolved = resolve_campaign(
+                CampaignRequest(test="march-c", n=53, m=m))
+            assert resolved.universe_spec.generator == "union"
+            assert len(resolved.cache_key) == 64
+        assert calls == []
 
     def test_scheme_reports_use_display_labels(self):
         """Legacy CLI labeled scheme reports by display name."""

@@ -9,8 +9,9 @@ from repro.faults import (
     intra_word_universe,
     single_cell_universe,
     standard_universe,
+    standard_universe_spec,
 )
-from repro.faults.universe import bridging_universe
+from repro.faults.universe import UniverseSpec, bridging_universe
 from repro.memory import SinglePortRAM
 
 
@@ -146,6 +147,49 @@ class TestStandardUniverse:
 
     def test_union_repr(self):
         assert "SAF" in repr(standard_universe(4))
+
+
+def _composed_standard_universe(n, m, seed):
+    """The standard universe assembled from its generators with ``+``:
+    the specs and names ``standard_universe_spec`` must reproduce."""
+    universe = single_cell_universe(n, m, classes=("SAF", "TF", "SOF"))
+    universe += coupling_universe(n, m, seed=seed)
+    universe += bridging_universe(n)
+    universe += decoder_universe(n, seed=seed)
+    if m > 1:
+        universe += intra_word_universe(n, m, seed=seed)
+    return universe
+
+
+class TestStandardUniverseSpec:
+    """The recipe is built without enumerating, and describes exactly the
+    universe the generators enumerate -- repr included, because cache
+    keys hash it."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_spec_matches_the_enumerated_universe(self, n, m, seed):
+        spec = standard_universe_spec(n, m, seed)
+        composed = _composed_standard_universe(n, m, seed)
+        for other in (standard_universe(n, m, seed).spec, composed.spec):
+            assert spec == other
+            assert repr(spec) == repr(other)
+        assert [f.name for f in spec.build()] == \
+            [f.name for f in composed]
+
+    def test_spec_does_not_enumerate(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("standard_universe_spec built a universe")
+
+        monkeypatch.setattr(UniverseSpec, "build", forbidden)
+        spec = standard_universe_spec(4096, 8, 1)
+        assert [part.generator for part in spec.parts][-1] == "intra_word"
+
+    def test_impossible_geometry_fails_at_build(self):
+        spec = standard_universe_spec(1)
+        with pytest.raises(ValueError, match="at least two cells"):
+            spec.build()
 
 
 class TestUniverseSpec:

@@ -110,6 +110,11 @@ class TestCoverageEndpoint:
         assert response.status == 400
         assert "unknown field(s) ['backend']" in response.json()["error"]
 
+    def test_default_universe_at_one_cell_is_400(self, client):
+        response = client.post("/coverage", {"test": "march-c", "n": 1})
+        assert response.status == 400
+        assert "needs n >= 2" in response.json()["error"]
+
     def test_invalid_json_is_400(self, client):
         response = client.request("POST", "/coverage")
         assert response.status == 400  # empty body -> missing fields

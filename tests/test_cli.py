@@ -172,6 +172,14 @@ class TestCoverageCommand:
         assert excinfo.value.code == 2  # resolver validation
         assert "bad field polynomial" in capsys.readouterr().err
 
+    def test_one_cell_default_universe_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coverage", "--n", "1", "--test", "march-c"])
+        assert excinfo.value.code == 2  # resolver validation
+        err = capsys.readouterr().err
+        assert err.startswith("error: the default universe needs n >= 2")
+        assert err.count("\n") == 1  # one line, no traceback
+
 
 class TestCompareOverhead:
     def test_compare(self, capsys):

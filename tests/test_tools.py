@@ -392,6 +392,15 @@ class TestCheckBenchSchedulerGates:
         assert any("floor 3.0x" in r for r in bad)
 
 
+#: A ``_resolve`` that takes the recipe only (lint rule 5's clean case).
+CLEAN_RESOLVE = (
+    "def _resolve(request):\n"
+    "    if request.universe is None:\n"
+    "        return standard_universe_spec(request.n, request.m)\n"
+    "    return request.universe\n"
+)
+
+
 class TestLintContracts:
     """The repo-wide invariant linter runs clean on the real tree and
     still has teeth on synthetic violations."""
@@ -408,10 +417,12 @@ class TestLintContracts:
 
     def _tree(self, tmp_path, batched="", pool="", remote="",
               campaign="def _fits_geometry(d, n, m, p):\n    return True\n",
-              fault=""):
+              fault="", request=CLEAN_RESOLVE):
         src = tmp_path / "src" / "repro"
         (src / "sim").mkdir(parents=True)
         (src / "faults").mkdir()
+        (src / "analysis").mkdir()
+        (src / "analysis" / "request.py").write_text(request)
         (src / "sim" / "batched.py").write_text(
             batched or "_MODELS = {}\n")
         (src / "sim" / "pool.py").write_text(pool)
@@ -469,6 +480,38 @@ class TestLintContracts:
                       "    return d.kind == 'ghost'\n"),
             fault="s = VectorSemantics('stuck', ())\n")
         assert any("ghost" in f for f in self.lint.run(root))
+
+    def _resolve_findings(self, root):
+        return [f for f in self.lint.run(root) if "spec-only-resolve" in f]
+
+    def test_spec_only_resolve_clean(self, tmp_path):
+        assert self._resolve_findings(self._tree(tmp_path)) == []
+
+    @pytest.mark.parametrize("call", [
+        "standard_universe(request.n, request.m).spec",
+        "request.universe.build()",
+        "resolved.build_universe()",
+        "repro.faults.coupling_universe(request.n)",
+    ])
+    def test_flags_universe_enumeration_in_resolve(self, tmp_path, call):
+        root = self._tree(tmp_path, request=(
+            "def _resolve(request):\n"
+            f"    spec = {call}\n"
+            "    return spec\n"))
+        findings = self._resolve_findings(root)
+        assert len(findings) == 1
+        assert "request.py:2:" in findings[0]
+
+    def test_universe_calls_outside_resolve_are_fine(self, tmp_path):
+        root = self._tree(tmp_path, request=(
+            CLEAN_RESOLVE
+            + "def build_universe(spec):\n    return spec.build()\n"))
+        assert self._resolve_findings(root) == []
+
+    def test_missing_resolve_is_a_finding(self, tmp_path):
+        root = self._tree(tmp_path, request="def resolve():\n    pass\n")
+        assert any("could not locate _resolve" in f
+                   for f in self._resolve_findings(root))
 
 
 class TestVerifyCorpus:

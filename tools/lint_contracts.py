@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-wide invariant lint: the cross-cutting contracts ruff can't see.
 
-Four AST rules, each guarding an implicit contract between subsystems
+Five AST rules, each guarding an implicit contract between subsystems
 that no single module's tests can enforce:
 
 1. **packed-surface** -- lane models in ``repro/sim/batched.py`` drive
@@ -34,6 +34,13 @@ that no single module's tests can enforce:
    model registered in ``repro/sim/batched.py``'s ``_MODELS``; and
    every kind ``repro/sim/campaign.py``'s ``_fits_geometry`` special-
    cases must be a real descriptor kind (no stale branches).
+
+5. **spec-only-resolve** -- ``_resolve`` in
+   ``repro/analysis/request.py`` binds a request to a universe *recipe*
+   and never enumerates faults: it may not call ``.build()``,
+   ``build_universe`` or any ``*_universe`` generator.  Resolution runs
+   on every request, cache hits included, and enumerating the default
+   universe there costs more than the rest of resolution together.
 
 Run standalone (exit 0 clean / 1 findings)::
 
@@ -287,11 +294,47 @@ def check_kind_registry(root: str) -> list[str]:
     return findings
 
 
+# -- rule 5: spec-only-resolve -----------------------------------------------
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def check_spec_only_resolve(path: str, root: str) -> list[str]:
+    """``_resolve`` builds no universe: no ``.build()``,
+    ``build_universe`` or ``*_universe`` generator call."""
+    rel = _relative(path, root)
+    resolve = next((node for node in _parse(path).body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "_resolve"), None)
+    if resolve is None:
+        return [f"{rel}:1: [spec-only-resolve] could not locate _resolve"]
+    findings = []
+    for node in ast.walk(resolve):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _call_name(node)
+        if name is not None and (name == "build"
+                                 or name.endswith("_universe")):
+            findings.append(
+                f"{rel}:{node.lineno}: [spec-only-resolve] _resolve calls "
+                f"{name}() -- resolution takes the universe spec and "
+                f"must not enumerate faults"
+            )
+    return findings
+
+
 # -- driver ------------------------------------------------------------------
 
 
 def run(root: str = REPO) -> list[str]:
-    """All four rules over the repo at ``root``; returns the findings."""
+    """All five rules over the repo at ``root``; returns the findings."""
     src = os.path.join(root, "src", "repro")
     findings: list[str] = []
     findings += check_packed_surface(
@@ -305,6 +348,8 @@ def run(root: str = REPO) -> list[str]:
                 findings += check_hook_flags(
                     os.path.join(dirpath, name), root)
     findings += check_kind_registry(root)
+    findings += check_spec_only_resolve(
+        os.path.join(src, "analysis", "request.py"), root)
     return findings
 
 
