@@ -103,6 +103,15 @@ geometry.  ``default_vs_compiled`` is a same-host ratio, and
 least 1000 faults -- the sign that ``"auto"`` stopped resolving to the
 lane-parallel engine.
 
+An eleventh section (``spec_lane_rows``) times the batched engine's
+lane source on its own: the descriptor tables read straight from
+``standard_universe_spec(n, m)`` (``descriptor_table`` then
+``partition_table`` and the class tags, no ``Fault`` built) against the
+per-fault path they replace (``partition_universe(spec.build())``).
+Both outputs must be equal before a number is emitted.
+``spec_vs_enumerate`` is a same-host ratio, and ``tools/check_bench.py``
+fails when it drops below 2 on a row of at least 1000 faults.
+
 Reports are cross-checked for equality on every path before a number is
 emitted.  Run as a script::
 
@@ -143,9 +152,11 @@ from repro.faults import (  # noqa: E402
     bridging_universe,
     coupling_universe,
     decoder_universe,
+    descriptor_table,
     npsf_universe,
     single_cell_universe,
     standard_universe,
+    standard_universe_spec,
 )
 from repro.gf2 import primitive_polynomial  # noqa: E402
 from repro.gf2m import GF2m  # noqa: E402
@@ -161,6 +172,7 @@ from repro.sim import (  # noqa: E402
     cached_dual_port_stream,
     cached_quad_port_stream,
     compile_march,
+    partition_table,
     partition_universe,
     run_campaign_batched,
     shutdown_shared_pools,
@@ -805,6 +817,67 @@ def bench_default(n: int, m: int) -> list[dict]:
     return rows
 
 
+SPEC_LANE_REPEATS = 7
+
+
+def _best_of(repeats: int, work):
+    """``(best wall clock, last result)`` of ``repeats`` calls."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = work()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _spec_lanes(spec, n: int, m: int):
+    table = descriptor_table(spec)
+    classes, fallback = partition_table(table, n, m)
+    return classes, fallback, table.class_tags()
+
+
+def _enumerated_lanes(spec, n: int, m: int):
+    universe = spec.build()
+    classes, fallback = partition_universe(universe, n, m)
+    return ({kind: [(index, semantics) for index, _fault, semantics
+                    in members] for kind, members in classes.items()},
+            [index for index, _fault in fallback],
+            [fault.fault_class for fault in universe])
+
+
+def bench_spec_lanes(n: int, m: int) -> dict:
+    """Lane descriptors from the spec against building every fault.
+
+    Both sides produce the batched engine's inputs for one
+    ``standard_universe(n, m)``: per-kind ``(index, semantics)`` lists,
+    the fallback indices and the per-index class tags.  Best of a few
+    runs each; the two outputs are compared before any number is kept.
+    """
+    spec = standard_universe_spec(n, m)
+    spec_s, tables = _best_of(SPEC_LANE_REPEATS,
+                              lambda: _spec_lanes(spec, n, m))
+    enumerate_s, enumerated = _best_of(SPEC_LANE_REPEATS,
+                                       lambda: _enumerated_lanes(spec, n, m))
+    if tables != enumerated:
+        raise AssertionError(
+            f"n={n} m={m}: spec lane tables diverged from the per-fault "
+            f"partition")
+    ratio = round(enumerate_s / spec_s, 2) if spec_s else float("inf")
+    print(f" spec lanes n={n:<5} m={m} faults={len(tables[2]):<6} "
+          f"tables {spec_s * 1e3:>7.2f}ms  enumerate "
+          f"{enumerate_s * 1e3:>7.2f}ms  x{ratio}")
+    return {
+        "test": "standard universe",
+        "n": n,
+        "m": m,
+        "universe": f"standard m={m} (spec lanes)",
+        "faults": len(tables[2]),
+        "spec_s": round(spec_s, 5),
+        "enumerate_s": round(enumerate_s, 5),
+        "spec_vs_enumerate": ratio,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=str, default=None,
@@ -837,6 +910,7 @@ def main(argv: list[str] | None = None) -> int:
         class_cost_sizes = [64]
         balance_sizes = [64]
         default_geometries = [(64, 1), (32, 4)]
+        spec_lane_geometries = [(64, 1), (32, 8)]
     else:
         sizes = list(args.sizes)
         single_cell_sizes = sorted({256, args.single_cell_n})
@@ -848,6 +922,7 @@ def main(argv: list[str] | None = None) -> int:
         class_cost_sizes = [256]
         balance_sizes = [256]
         default_geometries = [(256, 1), (64, 4)]
+        spec_lane_geometries = [(1024, 1), (256, 8)]
 
     rows = []
     for n in sizes:
@@ -883,6 +958,8 @@ def main(argv: list[str] | None = None) -> int:
     default_rows = []
     for n, m in default_geometries:
         default_rows.extend(bench_default(n, m))
+    spec_lane_rows = [bench_spec_lanes(n, m)
+                      for n, m in spec_lane_geometries]
     sharded_rows = []
     if args.workers > 0:
         for n in sharded_sizes:
@@ -944,6 +1021,10 @@ def main(argv: list[str] | None = None) -> int:
         # check_bench fails when this drops below 2 on >= 1000 faults.
         "min_default_speedup": min(
             r["default_vs_compiled"] for r in default_rows),
+        "spec_lane_rows": spec_lane_rows,
+        # check_bench fails when this drops below 2 on >= 1000 faults.
+        "min_spec_lane_speedup": min(
+            r["spec_vs_enumerate"] for r in spec_lane_rows),
         "sharded_rows": sharded_rows,
         # Cost-model calibration: CostModel.from_benchmark(summary)
         # rebuilds the relative class-cost table from these rows.

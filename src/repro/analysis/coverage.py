@@ -20,8 +20,10 @@ still work -- they just take the interpreted per-fault loop.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
@@ -138,7 +140,7 @@ class CompilableRunner:
     """
 
     def __init__(self, run: Runner, compiler: Callable[[int, int], object],
-                 ports: int = 1):
+                 ports: int = 1, min_cells: int = 1):
         self._run = run
         self._compiler = compiler
         #: Ports the wrapped test needs per memory cycle (1 =
@@ -146,6 +148,10 @@ class CompilableRunner:
         #: default front-end for the interpreted per-fault loop; the
         #: compiled engines read the same number off the stream itself.
         self.ports = ports
+        #: Smallest memory the wrapped test runs on (a π-test needs more
+        #: cells than its window); request resolution rejects a smaller
+        #: ``n`` before compiling.
+        self.min_cells = min_cells
 
     def __call__(self, ram) -> bool:
         return self._run(ram)
@@ -253,17 +259,17 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
             else run_campaign(stream, universe, ram_factory=ram_factory,
                               workers=workers, pool=pool,
                               progress=progress))
-        # report.record inlined: the report keeps names of missed faults
-        # only, so the per-fault name formatting is paid for misses.
-        total, hits = report.total, report.detected
-        missed = report.missed_faults
-        for fault, detected in campaign.outcomes:
-            fault_class = fault.fault_class
-            total[fault_class] = total.get(fault_class, 0) + 1
-            if detected:
-                hits[fault_class] = hits.get(fault_class, 0) + 1
-            else:
-                missed.append(fault.name)
+        # report.record in bulk: classes tally from the per-index tags
+        # (a spec'd universe's descriptor table), and only missed faults
+        # are built and named.
+        tags = campaign.class_tags()
+        verdicts = campaign.verdicts
+        report.total = dict(Counter(tags))
+        report.detected = dict(Counter(compress(tags, verdicts)))
+        faults = campaign.faults
+        report.missed_faults = [faults[index].name
+                                for index, detected in enumerate(verdicts)
+                                if not detected]
         return report
     ports = getattr(runner, "ports", 1)
     faults = list(universe)
@@ -313,7 +319,8 @@ def schedule_runner(schedule) -> CompilableRunner:
         return schedule.run_interpreted(ram).detected
 
     return CompilableRunner(
-        runner, lambda n, m: cached_schedule_stream(schedule, n, m)
+        runner, lambda n, m: cached_schedule_stream(schedule, n, m),
+        min_cells=schedule.min_cells,
     )
 
 
@@ -336,6 +343,7 @@ def _port_scheme_runner(iteration, cached_stream, ports) -> CompilableRunner:
 
     return CompilableRunner(
         runner, lambda n, m: cached_stream(iteration, n, m), ports=ports,
+        min_cells=iteration.min_cells,
     )
 
 
@@ -373,7 +381,7 @@ def multi_schedule_runner(schedule) -> CompilableRunner:
 
     return CompilableRunner(
         runner, lambda n, m: cached_multi_schedule_stream(schedule, n, m),
-        ports=schedule.ports,
+        ports=schedule.ports, min_cells=schedule.min_cells,
     )
 
 
@@ -399,5 +407,6 @@ def iteration_runner(iteration) -> Runner:
     if not isinstance(iteration, PiIteration):
         return runner
     return CompilableRunner(
-        runner, lambda n, m: cached_pi_iteration_stream(iteration, n, m)
+        runner, lambda n, m: cached_pi_iteration_stream(iteration, n, m),
+        min_cells=iteration.min_cells,
     )

@@ -270,8 +270,10 @@ class ResolvedCampaign:
         return self.runner.compile(self.request.n, self.request.m)
 
     def build_universe(self) -> FaultUniverse:
-        """Materialize the fault universe (cold path only)."""
-        return self.universe_spec.build()
+        """The fault universe (cold path only), lazy: it holds the spec's
+        descriptor table and builds a fault only when one is asked for
+        (see :meth:`FaultUniverse.from_spec`)."""
+        return FaultUniverse.from_spec(self.universe_spec)
 
     @property
     def cache_key(self) -> str:
@@ -349,11 +351,6 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
     else:
         generator = (1, 1, 1) if field is None or field.m == 1 else (1, 2, 2)
         quad = request.test.startswith("quad")
-        if quad and (n % 2 != 0 or n < 6):
-            raise RequestError(
-                f"test {request.test!r} needs an even n >= 6 "
-                f"(two concurrent half-array automata), got {n}"
-            )
         if kind == "multi-schedule":
             schedule = standard_multi_schedule(
                 ports=4 if quad else 2, field=field, generator=generator,
@@ -368,8 +365,24 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
             runner = dual_port_runner(
                 DualPortPiIteration(field=field, generator=generator,
                                     seed=(0, 1)))
-        operations = runner.compile(n, m).operation_count
         test_name = display  # legacy CLI labels scheme reports by display
+    # The smallest memory the test runs on comes from its runner (a
+    # π-test needs more cells than its automaton window): reject a
+    # smaller n here, before anything compiles.
+    floor = runner.min_cells
+    if request.test.startswith("quad") and (n % 2 != 0 or n < floor):
+        raise RequestError(
+            f"test {request.test!r} needs an even n >= {floor} "
+            f"(two concurrent half-array automata), got {n}"
+        )
+    if n < floor:
+        raise RequestError(
+            f"test {request.test!r} needs n >= {floor} (more cells than "
+            f"its automaton window), got n={n}"
+        )
+    if kind in ("port", "multi-schedule"):
+        # Counted off the compiled stream, now that n is known good.
+        operations = runner.compile(n, m).operation_count
     if request.universe is None:
         # The recipe only: enumerating the faults is the cold path's job
         # (a cache hit never pays it).  Building is also where the
@@ -526,7 +539,9 @@ def _run_resolved(resolved: ResolvedCampaign, name: str,
                   pool: WorkerPool | None,
                   progress: Callable[[int, int], None] | None
                   ) -> CoverageReport:
-    """The cold path: materialize the universe, run the legacy engine."""
+    """The cold path: run the engine on the lazy universe.  The batched
+    engine reads its lanes from the descriptor table, so only the
+    scalar remainder and the missed faults ever become Fault objects."""
     request = resolved.request
     return run_coverage(
         resolved.runner, resolved.build_universe(), request.n, m=request.m,

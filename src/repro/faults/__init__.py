@@ -64,8 +64,11 @@ from repro.faults.linked import (
     linked_universe,
 )
 from repro.faults.universe import (
+    DescriptorTable,
     FaultUniverse,
     UniverseSpec,
+    descriptor_table,
+    fault_from_descriptor,
     materialize_spec,
     single_cell_universe,
     coupling_universe,
@@ -102,6 +105,9 @@ __all__ = [
     "linked_universe",
     "FaultUniverse",
     "UniverseSpec",
+    "DescriptorTable",
+    "descriptor_table",
+    "fault_from_descriptor",
     "materialize_spec",
     "single_cell_universe",
     "coupling_universe",

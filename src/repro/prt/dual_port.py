@@ -87,6 +87,12 @@ class DualPortPiIteration:
         return self._seed
 
     @property
+    def min_cells(self) -> int:
+        """Smallest memory the scheme runs on: more cells than the two
+        seed cells."""
+        return 3
+
+    @property
     def recurrence_multipliers(self) -> tuple[int, ...]:
         """Per-window-slot multipliers ``a_0^{-1} a_{k-j}`` of the
         recurrence (a zero entry means the port's read contributes
@@ -180,7 +186,7 @@ class DualPortPiIteration:
                 f"GF(2^{self._field.m})"
             )
         n = ram.n
-        if n < 3:
+        if n < self.min_cells:
             raise ValueError(f"memory must have more than 2 cells, got {n}")
         if previous_background is not None and len(previous_background) != n:
             raise ValueError(
@@ -333,6 +339,12 @@ class QuadPortPiIteration:
         return self._seed
 
     @property
+    def min_cells(self) -> int:
+        """Smallest memory the scheme runs on (it also needs an even
+        ``n``): two half-array automata of at least three cells."""
+        return 6
+
+    @property
     def recurrence_multipliers(self) -> tuple[int, ...]:
         """Per-window-slot recurrence multipliers (see
         :attr:`DualPortPiIteration.recurrence_multipliers`)."""
@@ -405,7 +417,7 @@ class QuadPortPiIteration:
                 f"GF(2^{self._field.m})"
             )
         n = ram.n
-        if n % 2 != 0 or n < 6:
+        if n % 2 != 0 or n < self.min_cells:
             raise ValueError(
                 f"the two-automata scheme needs an even n >= 6, got {n}"
             )

@@ -164,6 +164,12 @@ class PiIteration:
         return self._k
 
     @property
+    def min_cells(self) -> int:
+        """Smallest memory the iteration runs on: more cells than the
+        ``k``-cell window."""
+        return self._k + 1
+
+    @property
     def invert(self) -> bool:
         """True when the stored background is the complemented stream."""
         return self._invert
@@ -293,7 +299,7 @@ class PiIteration:
                 f"RAM cell width m={ram.m} does not match field GF(2^{self._field.m})"
             )
         n = ram.n
-        if n < self._k + 1:
+        if n < self.min_cells:
             raise ValueError(
                 f"memory must have more than k={self._k} cells, got {n}"
             )

@@ -103,6 +103,11 @@ class PiTestSchedule:
         return tuple(self._iterations)
 
     @property
+    def min_cells(self) -> int:
+        """Smallest memory every iteration of the schedule runs on."""
+        return max(iteration.min_cells for iteration in self._iterations)
+
+    @property
     def name(self) -> str:
         """Schedule label for reports."""
         return self._name

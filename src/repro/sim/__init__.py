@@ -101,7 +101,12 @@ from repro.sim.replay import (
     replay_quad_port_iteration,
     replay_schedule,
 )
-from repro.sim.campaign import CampaignResult, partition_universe, run_campaign
+from repro.sim.campaign import (
+    CampaignResult,
+    partition_table,
+    partition_universe,
+    run_campaign,
+)
 from repro.sim.batched import (
     build_lane_model,
     register_lane_model,
@@ -163,6 +168,7 @@ __all__ = [
     "run_campaign",
     "run_campaign_batched",
     "partition_universe",
+    "partition_table",
     "build_lane_model",
     "register_lane_model",
     "PoolUnavailable",

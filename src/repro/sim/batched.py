@@ -74,10 +74,11 @@ from repro.sim.campaign import (
     _check_scheduler,
     _drain_flow,
     _monotonic_progress,
+    _partition_faults,
     _reference_pass,
     _run_task,
     _scalar_task,
-    partition_universe,
+    partition_table,
     run_campaign,
 )
 from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
@@ -882,17 +883,24 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     # Clamped once here: a pool failure mid-drain re-runs the remainder
     # serially, and the hook must never see ``done`` go backwards.
     progress = _monotonic_progress(progress)
-    faults = list(universe)
+    table = getattr(universe, "descriptors", None)
+    if table is not None:
+        # A universe made from a spec: lanes come from its descriptor
+        # table, and a fault is built only where one is needed (the
+        # scalar remainder, a report naming a miss).
+        faults = universe
+        classes, fallback = partition_table(table, n, stream.m)
+    else:
+        faults = list(universe)
+        classes, fallback = _partition_faults(faults, n, stream.m)
     total = len(faults)
-    classes, fallback = partition_universe(faults, n, stream.m)
     # A custom fault may return a VectorSemantics kind nobody registered
     # a lane model for; honour the any-universe contract by routing it to
     # the scalar path instead of failing mid-campaign.
     unknown_kinds = [k for k in classes if k not in _MODELS]
     for kind in unknown_kinds:
-        fallback.extend((index, fault)
-                        for index, fault, _ in classes.pop(kind))
-    fallback.sort(key=lambda pair: pair[0])
+        fallback.extend(index for index, _sem in classes.pop(kind))
+    fallback.sort()
     result = CampaignResult(stream_name=stream.name, n=n, m=stream.m,
                             reference_operations=stream.reference_operations
                             or 0,
@@ -919,7 +927,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
                          if kind not in shipped}
     pending = None
     if use_pool and (fallback or shipped):
-        pending = _start_shard_flow(stream, fallback, shipped, spec,
+        pending = _start_shard_flow(stream, faults, fallback, shipped, spec,
                                     effective, pool, chunk_size, scheduler,
                                     cost_model, max_lanes)
     if pending is None and shipped:
@@ -932,15 +940,14 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         nonlocal done
         for base in range(0, len(members), max_lanes):
             chunk = members[base:base + max_lanes]
-            model = build_lane_model(kind, [sem for _, _, sem in chunk])
+            model = build_lane_model(kind, [sem for _, sem in chunk])
             packed = PackedMemoryArray(n, lanes=len(chunk), m=stream.m)
             model.install(packed)
             detected, executed = packed.apply_stream(
                 stream.ops, tables=stream.tables, model=model
             )
             result.operations_replayed += executed
-            for lane, (index, _fault, _sem) in enumerate(chunk):
-                verdicts[index] = bool((detected >> lane) & 1)
+            _unpack_lanes(detected, chunk, verdicts)
             done += len(chunk)
             if progress is not None:
                 progress(done, total)
@@ -965,15 +972,13 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         # remainder serially and must not double-count.
         nonlocal flow_ops
         if tag == "scalar":
-            for (index, _fault), (det, executed) in zip(fallback[lo:hi],
-                                                        data, strict=True):
+            for index, (det, executed) in zip(fallback[lo:hi], data,
+                                              strict=True):
                 verdicts[index] = det
                 flow_ops += executed
         else:  # "lane": one worker-side pass over class members [lo:hi)
             kind, detected, executed = data
-            for lane, (index, _fault, _sem) in enumerate(
-                    classes[kind][lo:hi]):
-                verdicts[index] = bool((detected >> lane) & 1)
+            _unpack_lanes(detected, classes[kind][lo:hi], verdicts)
             flow_ops += executed
         return hi - lo
 
@@ -999,22 +1004,32 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
             def _remap(sub_done: int, _sub_total: int) -> None:
                 progress(batched_done + sub_done, total)
 
-            scalar = run_campaign(stream, [fault for _, fault in fallback],
+            scalar = run_campaign(stream, [faults[i] for i in fallback],
                                   chunk_size=chunk_size,
                                   progress=_remap if progress is not None
                                   else None,
                                   reference_check=False)
             result.operations_replayed += scalar.operations_replayed
-            for (index, _fault), (_f, detected) in zip(fallback,
-                                                       scalar.outcomes,
-                                                       strict=True):
+            for index, detected in zip(fallback, scalar.verdicts,
+                                       strict=True):
                 verdicts[index] = detected
-    result.outcomes = [(fault, verdicts[index])
-                       for index, fault in enumerate(faults)]
+    result.faults = faults
+    result.verdicts = verdicts
     return result
 
 
-def _start_shard_flow(stream, fallback, shipped, spec, workers, pool,
+def _unpack_lanes(detected: int, members: list, verdicts: list) -> None:
+    """Write lane ``k`` of a pass's ``detected`` mask to the verdict of
+    ``members[k]``.  One binary rendering of the mask, not a shift per
+    lane: a shift copies the whole wide int, so per-lane shifts cost
+    O(lanes^2)."""
+    width = len(members)
+    bits = format(detected, f"0{width}b")[::-1][:width]
+    for (index, _semantics), bit in zip(members, bits, strict=True):
+        verdicts[index] = bit == "1"
+
+
+def _start_shard_flow(stream, faults, fallback, shipped, spec, workers, pool,
                       chunk_size, scheduler, cost_model, max_lanes):
     """Broadcast the stream and queue scalar + lane shards on one flow.
 
@@ -1037,7 +1052,7 @@ def _start_shard_flow(stream, fallback, shipped, spec, workers, pool,
         pool.mark_broken()
         return None
     outstanding = 0
-    scalar_faults = [fault for _, fault in fallback]
+    scalar_faults = [faults[index] for index in fallback]
     for lo, hi in model.plan(scalar_faults,
                              workers=getattr(pool, "workers", workers),
                              chunk_size=chunk_size):
@@ -1055,7 +1070,7 @@ def _start_shard_flow(stream, fallback, shipped, spec, workers, pool,
             if spec is not None:
                 flow.put(("lane", token, spec, kind, base, hi, None, n, m))
             else:
-                chunk_faults = [fault for _i, fault, _s in members[base:hi]]
+                chunk_faults = [faults[i] for i, _sem in members[base:hi]]
                 flow.put(("lane-list", token, None, kind, base, hi,
                           chunk_faults, n, m))
             outstanding += 1

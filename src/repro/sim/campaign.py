@@ -45,14 +45,19 @@ the engine's wall-clock win over the interpreted loop comes from (see
 from __future__ import annotations
 
 import multiprocessing
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from time import perf_counter
 
 from repro.faults.base import Fault, VectorSemantics
 from repro.faults.injector import FaultInjector
-from repro.faults.universe import UniverseSpec, materialize_spec
+from repro.faults.universe import (
+    DescriptorTable,
+    FaultUniverse,
+    UniverseSpec,
+    materialize_spec,
+)
 from repro.memory.multiport import MultiPortRAM, PortConflictError
 from repro.memory.ram import SinglePortRAM
 from repro.memory.stream_exec import apply_stream_generic
@@ -65,7 +70,8 @@ from repro.sim.pool import (
     worker_stream,
 )
 
-__all__ = ["CampaignResult", "run_campaign", "partition_universe"]
+__all__ = ["CampaignResult", "run_campaign", "partition_universe",
+           "partition_table"]
 
 #: Schedulers the sharded path understands.  ``"stealing"`` (default)
 #: lets a worker return the unfinished remainder of an oversized shard
@@ -87,9 +93,14 @@ SERIAL_CHUNK = 128
 class CampaignResult:
     """Outcome of one batched campaign.
 
-    ``outcomes`` preserves universe order: ``(fault, detected)`` pairs,
-    which is what lets :func:`repro.analysis.coverage.run_coverage` build
-    a report identical to the interpreted per-fault loop's.
+    ``verdicts[i]`` is the ``detected`` flag of ``faults[i]``, in
+    universe order.  ``faults`` is the campaign's universe: for a
+    :class:`~repro.faults.universe.FaultUniverse` made from a spec it is
+    the lazy universe itself, so a caller that reads only verdicts,
+    :meth:`class_tags` and the missed faults' names builds a
+    :class:`~repro.faults.base.Fault` for the misses alone (this is how
+    :func:`repro.analysis.coverage.run_coverage` reports).
+    ``outcomes`` is the ``(fault, detected)`` list of every fault.
     ``faults_batched`` counts the faults the bit-packed engine resolved
     lane-parallel (always 0 for :func:`run_campaign`; see
     :func:`repro.sim.batched.run_campaign_batched`).
@@ -98,33 +109,50 @@ class CampaignResult:
     stream_name: str
     n: int
     m: int
-    outcomes: list[tuple[Fault, bool]] = dataclass_field(default_factory=list)
+    faults: Sequence[Fault] = dataclass_field(default_factory=list)
+    verdicts: list[bool] = dataclass_field(default_factory=list)
     operations_replayed: int = 0
     reference_operations: int = 0
     workers_used: int = 0
     faults_batched: int = 0
 
     @property
+    def outcomes(self) -> list[tuple[Fault, bool]]:
+        """``(fault, detected)`` pairs in universe order (builds every
+        fault of a lazy universe)."""
+        return list(zip(self.faults, self.verdicts, strict=True))
+
+    def class_tags(self) -> list[str]:
+        """The class tag of every fault, in universe order -- read from
+        the universe's descriptor table when it has one."""
+        class_tags = getattr(self.faults, "class_tags", None)
+        if class_tags is not None:
+            return class_tags()
+        return [fault.fault_class for fault in self.faults]
+
+    @property
     def faults_total(self) -> int:
         """Number of faults injected."""
-        return len(self.outcomes)
+        return len(self.verdicts)
 
     @property
     def detected_total(self) -> int:
         """Number of detected faults."""
-        return sum(1 for _, detected in self.outcomes if detected)
+        return sum(self.verdicts)
 
     @property
     def detection_ratio(self) -> float:
         """Detected / total (1.0 for an empty campaign)."""
-        if not self.outcomes:
+        if not self.verdicts:
             return 1.0
         return self.detected_total / self.faults_total
 
     @property
     def missed(self) -> list[Fault]:
         """The faults that escaped, in universe order."""
-        return [fault for fault, detected in self.outcomes if not detected]
+        return [self.faults[index]
+                for index, detected in enumerate(self.verdicts)
+                if not detected]
 
     def __repr__(self) -> str:
         return (
@@ -213,6 +241,13 @@ def partition_universe(
     ``fallback`` holds ``(universe_index, fault)`` pairs; indices let the
     batched engine reassemble outcomes in universe order.
 
+    This asks every fault for its descriptor, so it builds every fault of
+    a lazy universe.  A universe made from a spec carries the same
+    descriptors already (:attr:`~repro.faults.universe.FaultUniverse
+    .descriptors`); :func:`partition_table` splits those without a
+    :class:`~repro.faults.base.Fault`, and is what the batched engine
+    uses for such universes.
+
     >>> from repro.faults import single_cell_universe
     >>> classes, fallback = partition_universe(
     ...     single_cell_universe(8), n=8)
@@ -221,16 +256,66 @@ def partition_universe(
     >>> len(fallback)   # every built-in class carries lane semantics
     0
     """
-    classes: dict[str, list[tuple[int, Fault, VectorSemantics]]] = {}
-    fallback: list[tuple[int, Fault]] = []
-    for index, fault in enumerate(universe):
+    faults = list(universe)
+    classes, fallback = _partition_faults(faults, n, m)
+    return ({kind: [(index, faults[index], semantics)
+                    for index, semantics in members]
+             for kind, members in classes.items()},
+            [(index, faults[index]) for index in fallback])
+
+
+def _partition_faults(faults, n: int, m: int):
+    """Per-fault split: ``({kind: [(index, semantics)]}, [index])``."""
+    classes: dict[str, list[tuple[int, VectorSemantics]]] = {}
+    fallback: list[int] = []
+    for index, fault in enumerate(faults):
         semantics = fault.vector_semantics()
         if semantics is not None and _fits_geometry(semantics, n, m):
-            classes.setdefault(semantics.kind, []).append(
-                (index, fault, semantics)
-            )
+            classes.setdefault(semantics.kind, []).append((index, semantics))
         else:
-            fallback.append((index, fault))
+            fallback.append(index)
+    return classes, fallback
+
+
+def partition_table(
+    table: DescriptorTable, n: int, m: int = 1,
+) -> tuple[dict[str, list[tuple[int, VectorSemantics]]], list[int]]:
+    """Split a descriptor table into lane classes and a scalar remainder.
+
+    The same split as :func:`partition_universe`, read straight from a
+    :class:`~repro.faults.universe.DescriptorTable` with no
+    :class:`~repro.faults.base.Fault` built: ``classes`` maps each
+    descriptor kind to ``(universe_index, semantics)`` pairs and
+    ``fallback`` lists the indices whose descriptor does not fit the
+    ``n x m`` geometry.  Rows of a generator part recorded for a memory
+    no larger than ``n x m`` fit by construction; only rows of larger
+    parts are checked one by one.
+
+    >>> from repro.faults import descriptor_table, standard_universe_spec
+    >>> spec = standard_universe_spec(8)
+    >>> classes, fallback = partition_table(descriptor_table(spec), n=8)
+    >>> sorted((kind, len(group)) for kind, group in classes.items())[:2]
+    [('bridge', 14), ('coupling', 84)]
+    >>> fallback
+    []
+    >>> small = partition_table(descriptor_table(spec), n=4)[1]
+    >>> small == [i for i, _ in partition_universe(spec.build(), n=4)[1]]
+    True
+    """
+    classes: dict[str, list[tuple[int, VectorSemantics]]] = {}
+    fallback: list[int] = []
+    rows = table.rows
+    for start, stop, part_n, part_m in table.spans:
+        checked = part_n > n or part_m > m
+        for index in range(start, stop):
+            semantics = rows[index][1]
+            if checked and not _fits_geometry(semantics, n, m):
+                fallback.append(index)
+                continue
+            members = classes.get(semantics.kind)
+            if members is None:
+                members = classes[semantics.kind] = []
+            members.append((index, semantics))
     return classes, fallback
 
 
@@ -296,7 +381,7 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 #                 carries no fault objects at all;
 # ``"fallback"``  the ``[lo:hi]`` slice of the *scalar-fallback* portion
 #                 of the spec'd universe (the batched engine's remainder),
-#                 derived locally via ``partition_universe``;
+#                 derived locally from the spec's descriptor table;
 # ``"list"``      an explicit pickled fault list (universes without a
 #                 spec -- hand-built lists, custom iterables).
 #
@@ -318,19 +403,17 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _spec_partition(spec: UniverseSpec, n: int, m: int):
-    """Worker-side cache: the partition of a spec'd universe.
+def _lane_members(spec: UniverseSpec, n: int, m: int):
+    """Worker-side cache: ``(classes, fallback_faults)`` of a spec'd
+    universe on an ``n x m`` stream.
 
-    Deterministic mirror of the partition the parent computed -- same
-    spec, same geometry, same enumeration order.
+    Read from the spec's descriptor table -- the same split the parent
+    made, in the same order -- so a worker builds a fault only for the
+    scalar remainder it may be asked to replay.
     """
-    return partition_universe(materialize_spec(spec), n, m)
-
-
-def _spec_fallback(spec: UniverseSpec, n: int, m: int) -> tuple[Fault, ...]:
-    """The scalar-fallback faults of a spec'd universe (worker side)."""
-    _classes, fallback = _spec_partition(spec, n, m)
-    return tuple(fault for _index, fault in fallback)
+    universe = FaultUniverse.from_spec(spec)
+    classes, fallback = partition_table(universe.descriptors, n, m)
+    return classes, tuple(universe[index] for index in fallback)
 
 
 def _shard_faults(mode, spec, lo, hi, faults, n, m):
@@ -339,7 +422,7 @@ def _shard_faults(mode, spec, lo, hi, faults, n, m):
     if mode == "slice":
         return materialize_spec(spec)[lo:hi]
     if mode == "fallback":
-        return _spec_fallback(spec, n, m)[lo:hi]
+        return _lane_members(spec, n, m)[1][lo:hi]
     raise ValueError(f"unknown shard mode {mode!r}")
 
 
@@ -387,8 +470,8 @@ def _run_lane_task(task) -> tuple:
     stream = worker_stream(token)
     start = perf_counter()
     if tag == "lane":
-        classes, _fallback = _spec_partition(spec, n, m)
-        semantics = [sem for _i, _f, sem in classes[kind][lo:hi]]
+        classes, _fallback = _lane_members(spec, n, m)
+        semantics = [sem for _index, sem in classes[kind][lo:hi]]
     else:  # "lane-list": explicit faults (universes without a spec)
         semantics = [fault.vector_semantics() for fault in faults]
     model = build_lane_model(kind, semantics)
@@ -570,9 +653,10 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
             done += len(chunk)
             if progress is not None:
                 progress(done, len(faults))
-    for fault, (detected, executed) in zip(faults, outcomes, strict=True):
-        result.outcomes.append((fault, detected))
-        result.operations_replayed += executed
+    result.faults = faults
+    result.verdicts = [detected for detected, _executed in outcomes]
+    result.operations_replayed = sum(executed for _detected, executed
+                                     in outcomes)
     return result
 
 

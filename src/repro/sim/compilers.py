@@ -134,7 +134,7 @@ def _compile_iteration(iteration, n: int, m: int,
             f"RAM cell width m={m} does not match field GF(2^{field.m})"
         )
     k = iteration.k
-    if n < k + 1:
+    if n < iteration.min_cells:
         raise ValueError(
             f"memory must have more than k={k} cells, got {n}"
         )
@@ -311,7 +311,7 @@ def _compile_dual_iteration(iteration, n: int, m: int,
         raise ValueError(
             f"RAM cell width m={m} does not match field GF(2^{field.m})"
         )
-    if n < 3:
+    if n < iteration.min_cells:
         raise ValueError(f"memory must have more than 2 cells, got {n}")
     if previous_background is not None and len(previous_background) != n:
         raise ValueError(
@@ -434,7 +434,7 @@ def _compile_quad_iteration(iteration, n: int, m: int,
         raise ValueError(
             f"RAM cell width m={m} does not match field GF(2^{field.m})"
         )
-    if n % 2 != 0 or n < 6:
+    if n % 2 != 0 or n < iteration.min_cells:
         raise ValueError(
             f"the two-automata scheme needs an even n >= 6, got {n}"
         )

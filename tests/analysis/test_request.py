@@ -25,7 +25,7 @@ from repro.analysis import (
     schedule_runner,
 )
 from repro.analysis.complexity import march_operations
-from repro.analysis.request import run_request
+from repro.analysis.request import _TESTS, run_request
 from repro.faults.universe import UniverseSpec
 from repro.march.library import MARCH_C_MINUS, MATS_PLUS
 from repro.prt import extended_schedule, standard_schedule
@@ -58,6 +58,37 @@ class TestValidation:
         with pytest.raises(RequestError, match="bad field polynomial"):
             resolve_campaign(CampaignRequest(test="prt3", n=8, m=4,
                                              poly="garbage"))
+
+    @pytest.mark.parametrize("test", sorted(_TESTS))
+    def test_small_memories_give_a_report_or_a_request_error(self, test):
+        # A memory below a test's automaton window must be rejected at
+        # resolve time, never escape later as a bare ValueError.
+        outcomes = []
+        for n in range(1, 7):
+            spec = UniverseSpec.call("single_cell", n=n, m=1,
+                                     classes=("SAF",), retention=64)
+            try:
+                report = run_request(CampaignRequest(test=test, n=n,
+                                                     universe=spec),
+                                     cache=False)
+            except RequestError:
+                outcomes.append("rejected")
+            else:
+                assert sum(report.total.values()) == 2 * n
+                outcomes.append("report")
+        # Every test runs at n=6, and once a size runs, the next size of
+        # the same parity runs too (a floor, not holes).
+        assert outcomes[-1] == "report"
+        for n in range(3, 7):
+            if outcomes[n - 3] == "report":
+                assert outcomes[n - 1] == "report"
+
+    def test_floor_comes_from_the_runner(self):
+        for test, floor in (("prt3", 4), ("prt5", 4), ("dual-port", 3),
+                            ("dual-schedule", 3)):
+            with pytest.raises(RequestError, match=f"needs n >= {floor}"):
+                resolve_campaign(CampaignRequest(test=test, n=floor - 1))
+            assert resolve_campaign(CampaignRequest(test=test, n=floor))
 
     def test_quad_schemes_need_even_n(self):
         for test in ("quad-port", "quad-schedule"):
@@ -261,3 +292,41 @@ class TestCachedExecution:
         assert rows[0].report.total == report.total
         assert cache.stats()["misses"] >= 1
         assert cache.stats()["hits"] >= 1
+
+
+class TestColdPathBuildsOnlyMisses:
+    """A cold batched request reads lanes from the spec's descriptor
+    table: it never enumerates the universe, and it builds a Fault only
+    to name a missed one."""
+
+    def test_no_enumeration_and_faults_only_for_misses(self, monkeypatch):
+        import repro.faults.universe as universe_module
+        import repro.sim.campaign as campaign_module
+        from repro.server.schemas import report_to_dict
+
+        requests = [CampaignRequest(test="march-c", n=64, m=m,
+                                    engine="batched") for m in (1, 4)]
+        expected = [report_to_dict(execute_request(r, cache=False).report)
+                    for r in requests]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the cold path enumerated the universe")
+
+        monkeypatch.setattr(UniverseSpec, "build", forbidden)
+        for module in (universe_module, campaign_module):
+            monkeypatch.setattr(module, "materialize_spec", forbidden)
+        built = []
+        make = universe_module.fault_from_descriptor
+
+        def spy(maker, semantics):
+            built.append(maker)
+            return make(maker, semantics)
+
+        monkeypatch.setattr(universe_module, "fault_from_descriptor", spy)
+        for request, want in zip(requests, expected, strict=True):
+            built.clear()
+            report = execute_request(request, cache=False).report
+            assert report_to_dict(report) == want
+            assert report.missed_faults  # the bound below is not vacuous
+            assert len(built) <= len(report.missed_faults)
+

@@ -105,6 +105,10 @@ class TestCoverageEndpoint:
                                {"test": "quad-port", "n": 13})
         assert response.status == 400
         assert "even n" in response.json()["error"]
+        for body in ({"test": "prt3", "n": 3}, {"test": "dual-port", "n": 2}):
+            response = client.post("/coverage", body)
+            assert response.status == 400
+            assert "needs n >= " in response.json()["error"]
         response = client.post("/coverage",
                                {"test": "mats", "n": 8, "backend": "int"})
         assert response.status == 400

@@ -178,6 +178,19 @@ class TestCoverageCommand:
         assert excinfo.value.code == 2  # resolver validation
         err = capsys.readouterr().err
         assert err.startswith("error: the default universe needs n >= 2")
+
+    @pytest.mark.parametrize("selector, n", [
+        (["--test", "prt3"], "3"),
+        (["--scheme", "dual-port"], "2"),
+    ])
+    def test_memory_below_the_test_window_exits_two(self, capsys, selector,
+                                                    n):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coverage", *selector, "--n", n])
+        assert excinfo.value.code == 2  # resolver validation
+        err = capsys.readouterr().err
+        assert err.startswith("error: test ")
+        assert err.count("\n") == 1  # one line, no traceback
         assert err.count("\n") == 1  # one line, no traceback
 
 

@@ -301,6 +301,54 @@ class TestCheckBenchDefaultRows:
         assert any("default_s" in r for r in regressions)
 
 
+class TestCheckBenchSpecLaneRows:
+    """The current-run-only lane-source gate."""
+
+    @staticmethod
+    def _shared():
+        return [{"test": "March C-", "n": 64, "compiled_s": 1.0}]
+
+    @staticmethod
+    def _spec_row(**overrides):
+        row = {"test": "standard universe", "n": 64, "m": 1,
+               "universe": "standard m=1 (spec lanes)", "faults": 1738,
+               "spec_s": 0.001, "enumerate_s": 0.006,
+               "spec_vs_enumerate": 6.0}
+        row.update(overrides)
+        return row
+
+    def test_slow_tables_are_a_regression(self):
+        base = {"rows": self._shared()}
+        current = {"rows": self._shared(),
+                   "spec_lane_rows": [self._spec_row(
+                       spec_vs_enumerate=1.2)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert any("lane tables are only 1.20x faster" in r
+                   for r in regressions)
+
+    def test_fast_tables_pass(self):
+        base = {"rows": self._shared()}
+        current = {"rows": self._shared(),
+                   "spec_lane_rows": [self._spec_row()]}
+        lines, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert not regressions
+        assert any("spec lanes" in line and "ok" in line for line in lines)
+
+    def test_small_row_is_exempt(self):
+        base = {"rows": self._shared()}
+        current = {"rows": self._shared(),
+                   "spec_lane_rows": [self._spec_row(
+                       faults=999, spec_vs_enumerate=1.0)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert not regressions
+
+    def test_spec_timings_diff_against_baseline(self):
+        base = {"spec_lane_rows": [self._spec_row(spec_s=0.1)]}
+        current = {"spec_lane_rows": [self._spec_row(spec_s=0.5)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert any("spec_s" in r for r in regressions)
+
+
 class TestCheckBenchSchedulerGates:
     """The current-run-only parallel-scheduler gates."""
 

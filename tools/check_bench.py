@@ -35,6 +35,13 @@ faults.  Below that size fixed per-request costs swamp the ratio.  A
 ratio near 1 means ``engine="auto"`` no longer reaches the lane-parallel
 engine.
 
+``spec_lane_rows`` rows gate the *lane source* alike: each row's
+``spec_vs_enumerate`` (building every fault and partitioning it, over
+reading the same lanes from the spec's descriptor tables) must stay at
+or above ``MIN_SPEC_SPEEDUP`` on rows of at least
+``SPEC_GATE_MIN_FAULTS`` faults.  A ratio near 1 means the tables
+started building faults again.
+
 Two more current-run-only ratio gates guard the parallel scheduler:
 
 * ``shard_balance_rows``: for every ``(test, n)`` the work-stealing
@@ -64,7 +71,8 @@ import sys
 
 ROW_SECTIONS = ("rows", "single_cell_rows", "multiport_rows",
                 "wordlane_rows", "sharded_rows", "cache_rows",
-                "default_rows", "shard_balance_rows", "fallback_summary")
+                "default_rows", "spec_lane_rows", "shard_balance_rows",
+                "fallback_summary")
 
 #: run_campaign_batched ships whole lane-pass chunks to the pool only
 #: past this many vectorizable faults (repro.sim.batched
@@ -76,6 +84,11 @@ LANE_SHARD_MIN_FAULTS = 4096
 #: smaller than ``DEFAULT_GATE_MIN_FAULTS`` faults are exempt.
 MIN_DEFAULT_SPEEDUP = 2.0
 DEFAULT_GATE_MIN_FAULTS = 1000
+
+#: Floor of a ``spec_lane_rows`` row's ``spec_vs_enumerate``; rows
+#: smaller than ``SPEC_GATE_MIN_FAULTS`` faults are exempt.
+MIN_SPEC_SPEEDUP = 2.0
+SPEC_GATE_MIN_FAULTS = 1000
 
 
 def _row_key(section: str, row: dict) -> tuple:
@@ -164,26 +177,32 @@ def compare(baseline: dict, current: dict, max_slowdown: float,
         lines.append(f"{label:>40} {'speedup_warm':>14} "
                      f"{speedup:>10.1f}x (floor "
                      f"{min_cache_speedup:.0f}x) {verdict}")
-    # Default-engine gate: same-host ratio of the default request to its
-    # engine="compiled" twin, checked against the current run alone.
-    for row in current.get("default_rows", ()):
-        speedup = row.get("default_vs_compiled")
-        if not isinstance(speedup, (int, float)) \
-                or row.get("faults", 0) < DEFAULT_GATE_MIN_FAULTS:
-            continue
-        label = f"{row.get('test')} n={row.get('n')} m={row.get('m')} " \
-                f"[default engine]"
-        verdict = "ok"
-        if speedup < MIN_DEFAULT_SPEEDUP:
-            verdict = "REGRESSION"
-            regressions.append(
-                f"{label}: the default engine is only {speedup:.2f}x "
-                f"faster than engine='compiled' (floor "
-                f"{MIN_DEFAULT_SPEEDUP:.1f}x)"
-            )
-        lines.append(f"{label:>40} {'vs_compiled':>14} "
-                     f"{speedup:>10.2f}x (floor "
-                     f"{MIN_DEFAULT_SPEEDUP:.1f}x) {verdict}")
+    # Same-host ratio gates, checked against the current run alone: the
+    # default request against its engine="compiled" twin, and the spec's
+    # lane tables against building and partitioning every fault.
+    for section, field, column, floor, min_faults, tag, what in (
+            ("default_rows", "default_vs_compiled", "vs_compiled",
+             MIN_DEFAULT_SPEEDUP, DEFAULT_GATE_MIN_FAULTS, "default engine",
+             "the default engine is only {:.2f}x faster than "
+             "engine='compiled'"),
+            ("spec_lane_rows", "spec_vs_enumerate", "vs_enumerate",
+             MIN_SPEC_SPEEDUP, SPEC_GATE_MIN_FAULTS, "spec lanes",
+             "the spec's lane tables are only {:.2f}x faster than "
+             "enumerating the faults")):
+        for row in current.get(section, ()):
+            speedup = row.get(field)
+            if not isinstance(speedup, (int, float)) \
+                    or row.get("faults", 0) < min_faults:
+                continue
+            label = f"{row.get('test')} n={row.get('n')} m={row.get('m')} " \
+                    f"[{tag}]"
+            verdict = "ok"
+            if speedup < floor:
+                verdict = "REGRESSION"
+                regressions.append(f"{label}: {what.format(speedup)} "
+                                   f"(floor {floor:.1f}x)")
+            lines.append(f"{label:>40} {column:>14} "
+                         f"{speedup:>10.2f}x (floor {floor:.1f}x) {verdict}")
     shared_keys = [key for key in base_rows if key in cur_rows]
     if not shared_keys:
         regressions.append(
