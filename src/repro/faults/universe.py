@@ -256,15 +256,10 @@ def descriptor_table(spec: UniverseSpec) -> DescriptorTable:
                                    kwargs.get("m", 1)),))
 
 
-#: Frozen, so shared: the ten coupling faults of one aggressor/victim
-#: pair are consecutive rows and reuse the same two locations.
-_location = lru_cache(maxsize=1024)(BitLocation)
-
-
 def _coupling_sites(semantics: VectorSemantics) -> tuple[BitLocation,
                                                          BitLocation]:
-    return (_location(semantics.cell, semantics.bit),
-            _location(semantics.victim_cell, semantics.victim_bit))
+    return (BitLocation(semantics.cell, semantics.bit),
+            BitLocation(semantics.victim_cell, semantics.victim_bit))
 
 
 #: Descriptor maker -> (class tag, constructor from the descriptor).

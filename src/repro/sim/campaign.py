@@ -47,6 +47,7 @@ from __future__ import annotations
 import multiprocessing
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
+from dataclasses import fields as dataclass_fields
 from functools import lru_cache
 from time import perf_counter
 
@@ -101,6 +102,8 @@ class CampaignResult:
     :class:`~repro.faults.base.Fault` for the misses alone (this is how
     :func:`repro.analysis.coverage.run_coverage` reports).
     ``outcomes`` is the ``(fault, detected)`` list of every fault.
+    Two results are equal when their fields are, with ``faults``
+    compared element by element rather than by universe identity.
     ``faults_batched`` counts the faults the bit-packed engine resolved
     lane-parallel (always 0 for :func:`run_campaign`; see
     :func:`repro.sim.batched.run_campaign_batched`).
@@ -109,7 +112,8 @@ class CampaignResult:
     stream_name: str
     n: int
     m: int
-    faults: Sequence[Fault] = dataclass_field(default_factory=list)
+    faults: Sequence[Fault] = dataclass_field(default_factory=list,
+                                              compare=False)
     verdicts: list[bool] = dataclass_field(default_factory=list)
     operations_replayed: int = 0
     reference_operations: int = 0
@@ -121,6 +125,13 @@ class CampaignResult:
         """``(fault, detected)`` pairs in universe order (builds every
         fault of a lazy universe)."""
         return list(zip(self.faults, self.verdicts, strict=True))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in dataclass_fields(self) if f.compare)
+                and list(self.faults) == list(other.faults))
 
     def class_tags(self) -> list[str]:
         """The class tag of every fault, in universe order -- read from

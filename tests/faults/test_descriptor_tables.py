@@ -279,3 +279,20 @@ def test_shared_decoder_descriptors_rebuild_their_own_subtype():
     assert table.rows[b][1] == table.rows[d][1]
     lazy = FaultUniverse.from_spec(spec)
     assert (lazy[b].name, lazy[d].name) == ("AF-B(0->[1])", "AF-D(0->[1])")
+
+
+
+def test_campaign_results_compare_their_faults_element_by_element():
+    from repro.march.library import MARCH_C_MINUS
+    from repro.sim.batched import run_campaign_batched
+    from repro.sim.compilers import compile_march
+
+    spec = UniverseSpec.call("single_cell", n=8, classes=("SAF", "TF"))
+    stream = compile_march(MARCH_C_MINUS, 8)
+    faults = list(FaultUniverse.from_spec(spec))
+    first = run_campaign_batched(stream, FaultUniverse(faults, spec=spec))
+    second = run_campaign_batched(stream, FaultUniverse(faults, spec=spec))
+    assert first.faults is not second.faults
+    assert first == second
+    second.faults = faults[::-1]
+    assert first != second

@@ -178,6 +178,7 @@ class TestCoverageCommand:
         assert excinfo.value.code == 2  # resolver validation
         err = capsys.readouterr().err
         assert err.startswith("error: the default universe needs n >= 2")
+        assert err.count("\n") == 1  # one line, no traceback
 
     @pytest.mark.parametrize("selector, n", [
         (["--test", "prt3"], "3"),
@@ -190,7 +191,6 @@ class TestCoverageCommand:
         assert excinfo.value.code == 2  # resolver validation
         err = capsys.readouterr().err
         assert err.startswith("error: test ")
-        assert err.count("\n") == 1  # one line, no traceback
         assert err.count("\n") == 1  # one line, no traceback
 
 
