@@ -112,6 +112,16 @@ Both outputs must be equal before a number is emitted.
 ``spec_vs_enumerate`` is a same-host ratio, and ``tools/check_bench.py``
 fails when it drops below 2 on a row of at least 1000 faults.
 
+A twelfth section (``glue_rows``) times the per-request glue around the
+lane kernels of a cold request, for March C-, PRT-3 and the dual-port
+schedule at n=512/m=1 and n=176/m=8: a fresh stream compile (its digest
+must equal the request path's stream), the error-only static verify of
+the request gate, and naming the missed faults from the descriptor rows
+(``FaultUniverse.name_of``), with building each missed fault to read its
+name as the reference (the two name lists must be equal).  The section
+has no gate of its own; ``tools/check_bench.py`` diffs its timings
+against the baseline.
+
 Reports are cross-checked for equality on every path before a number is
 emitted.  Run as a script::
 
@@ -144,15 +154,18 @@ from repro.analysis import (  # noqa: E402
     execute_request,
     march_runner,
     quad_port_runner,
+    resolve_campaign,
     run_coverage,
     run_request,
     schedule_runner,
 )
+from repro.analysis.request import build_field  # noqa: E402
 from repro.faults import (  # noqa: E402
     bridging_universe,
     coupling_universe,
     decoder_universe,
     descriptor_table,
+    fault_from_descriptor,
     npsf_universe,
     single_cell_universe,
     standard_universe,
@@ -164,6 +177,7 @@ from repro.march.library import MARCH_C_MINUS  # noqa: E402
 from repro.prt import (  # noqa: E402
     DualPortPiIteration,
     QuadPortPiIteration,
+    standard_multi_schedule,
     standard_schedule,
 )
 from repro.server.cache import ResultCache  # noqa: E402
@@ -172,10 +186,13 @@ from repro.sim import (  # noqa: E402
     cached_dual_port_stream,
     cached_quad_port_stream,
     compile_march,
+    compile_multi_schedule,
+    compile_schedule,
     partition_table,
     partition_universe,
     run_campaign_batched,
     shutdown_shared_pools,
+    verify,
 )
 # The shard-balance section measures the scheduler's own unit of work
 # (per-shard wall clock through the worker-side task runner), which the
@@ -878,6 +895,80 @@ def bench_spec_lanes(n: int, m: int) -> dict:
     }
 
 
+GLUE_TESTS = (("March C-", "march-c"), ("PRT-3", "prt3"),
+              ("dual-schedule", "dual-schedule"))
+GLUE_REPEATS = 5
+
+
+def _compile_uncached(selector: str, n: int, m: int):
+    """A fresh compile of the stream a request for ``selector`` replays
+    (the resolver's runners memoize theirs)."""
+    field = build_field(m, None)
+    if selector == "march-c":
+        return compile_march(MARCH_C_MINUS, n, m)
+    if selector == "prt3":
+        return compile_schedule(standard_schedule(field=field, n=n), n, m)
+    generator = (1, 1, 1) if field is None else (1, 2, 2)
+    return compile_multi_schedule(standard_multi_schedule(
+        ports=2, field=field, generator=generator), n, m)
+
+
+def bench_glue(n: int, m: int) -> list[dict]:
+    """The per-request glue around the lane kernels of a cold request.
+
+    Per test: a fresh stream compile (its digest must equal the
+    request path's stream), the error-only static verify the request
+    gate runs, and naming the campaign's missed faults from the
+    descriptor rows (``FaultUniverse.name_of``) against building each
+    missed fault to read its name.  The two name lists are compared
+    before a number is kept.  Best of a few runs each.
+    """
+    rows = []
+    for name, selector in GLUE_TESTS:
+        request = CampaignRequest(test=selector, n=n, m=m, engine="batched")
+        resolved = resolve_campaign(request)
+        compile_s, stream = _best_of(
+            GLUE_REPEATS, lambda: _compile_uncached(selector, n, m))
+        if stream.digest() != resolved.compile().digest():
+            raise AssertionError(
+                f"{name} n={n} m={m}: bench compile diverged from the "
+                f"request path's stream")
+        verify_s, report = _best_of(
+            GLUE_REPEATS, lambda: verify(stream, dataflow=False))
+        if not report.ok:
+            raise AssertionError(f"{name} n={n} m={m}: stream failed verify")
+        universe = resolved.build_universe()
+        campaign = run_campaign_batched(stream, universe)
+        missed = [index for index, detected in enumerate(campaign.verdicts)
+                  if not detected]
+        rows_of = universe.descriptors.rows
+        naming_s, names = _best_of(
+            GLUE_REPEATS, lambda: [universe.name_of(i) for i in missed])
+        built_naming_s, built = _best_of(
+            GLUE_REPEATS,
+            lambda: [fault_from_descriptor(*rows_of[i]).name for i in missed])
+        if names != built:
+            raise AssertionError(
+                f"{name} n={n} m={m}: row names diverged from built names")
+        print(f"      glue {name:>13} n={n:<4} m={m} records="
+              f"{len(stream.ops):<6} compile {compile_s * 1e3:>6.2f}ms  "
+              f"verify {verify_s * 1e3:>6.2f}ms  name {len(missed)} misses "
+              f"{naming_s * 1e3:>6.2f}ms (built {built_naming_s * 1e3:.2f}ms)")
+        rows.append({
+            "test": name,
+            "n": n,
+            "m": m,
+            "universe": f"standard m={m} (glue)",
+            "records": len(stream.ops),
+            "misses": len(missed),
+            "compile_s": round(compile_s, 5),
+            "verify_s": round(verify_s, 5),
+            "naming_s": round(naming_s, 5),
+            "built_naming_s": round(built_naming_s, 5),
+        })
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=str, default=None,
@@ -911,6 +1002,7 @@ def main(argv: list[str] | None = None) -> int:
         balance_sizes = [64]
         default_geometries = [(64, 1), (32, 4)]
         spec_lane_geometries = [(64, 1), (32, 8)]
+        glue_geometries = [(64, 1), (32, 8)]
     else:
         sizes = list(args.sizes)
         single_cell_sizes = sorted({256, args.single_cell_n})
@@ -923,6 +1015,7 @@ def main(argv: list[str] | None = None) -> int:
         balance_sizes = [256]
         default_geometries = [(256, 1), (64, 4)]
         spec_lane_geometries = [(1024, 1), (256, 8)]
+        glue_geometries = [(512, 1), (176, 8)]
 
     rows = []
     for n in sizes:
@@ -960,6 +1053,7 @@ def main(argv: list[str] | None = None) -> int:
         default_rows.extend(bench_default(n, m))
     spec_lane_rows = [bench_spec_lanes(n, m)
                       for n, m in spec_lane_geometries]
+    glue_rows = [row for n, m in glue_geometries for row in bench_glue(n, m)]
     sharded_rows = []
     if args.workers > 0:
         for n in sharded_sizes:
@@ -1025,6 +1119,7 @@ def main(argv: list[str] | None = None) -> int:
         # check_bench fails when this drops below 2 on >= 1000 faults.
         "min_spec_lane_speedup": min(
             r["spec_vs_enumerate"] for r in spec_lane_rows),
+        "glue_rows": glue_rows,
         "sharded_rows": sharded_rows,
         # Cost-model calibration: CostModel.from_benchmark(summary)
         # rebuilds the relative class-cost table from these rows.

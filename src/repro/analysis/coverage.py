@@ -260,14 +260,17 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
                               workers=workers, pool=pool,
                               progress=progress))
         # report.record in bulk: classes tally from the per-index tags
-        # (a spec'd universe's descriptor table), and only missed faults
-        # are built and named.
+        # and missed faults are named by index.  A spec'd universe reads
+        # both from its descriptor table (FaultUniverse.name_of), so a
+        # cold campaign builds no Fault to name what it missed.
         tags = campaign.class_tags()
         verdicts = campaign.verdicts
         report.total = dict(Counter(tags))
         report.detected = dict(Counter(compress(tags, verdicts)))
         faults = campaign.faults
-        report.missed_faults = [faults[index].name
+        name_of = getattr(faults, "name_of", None) \
+            or (lambda index: faults[index].name)
+        report.missed_faults = [name_of(index)
                                 for index, detected in enumerate(verdicts)
                                 if not detected]
         return report

@@ -102,6 +102,12 @@ __all__ = [
 #: (on disk, by an older server) miss instead of colliding.
 CACHE_KEY_VERSION = 2
 
+#: Upper bound of :attr:`CampaignRequest.workers`.  Each distinct count
+#: starts its own shared pool of that many processes, so a request body
+#: must not pick the number freely.  A fixed constant, not the host's
+#: cpu count, so a request valid on one host is valid on every host.
+MAX_WORKERS = 32
+
 _MARCH_TESTS = {
     "mats": MATS,
     "mats+": MATS_PLUS,
@@ -200,9 +206,10 @@ class CampaignRequest:
         ``n >= 2``.  Passing a spec (not a fault list) is what keeps
         requests hashable and shardable.
     engine, workers:
-        Execution options, identical to ``run_coverage``'s kwargs.
-        Both are excluded from :meth:`cache_key` -- they change wall
-        clock, never verdicts.
+        Execution options, identical to ``run_coverage``'s kwargs;
+        ``workers`` is at most :data:`MAX_WORKERS`.  Both are excluded
+        from :meth:`cache_key` -- they change wall clock, never
+        verdicts.
     pure:
         Drop transparent verification from the PRT schedules (the
         paper-exact signature-only mode; ignored for March tests).
@@ -326,10 +333,6 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
         raise RequestError(
             f"engine must be one of {ENGINES}, got {request.engine!r}"
         )
-    if not isinstance(request.workers, int) or request.workers < 0:
-        raise RequestError(
-            f"workers must be a non-negative int, got {request.workers!r}"
-        )
     kind, display = _TESTS[request.test]
     try:
         field = build_field(request.m, request.poly)
@@ -431,6 +434,14 @@ def resolve_campaign(request: CampaignRequest) -> ResolvedCampaign:
     if not isinstance(request, CampaignRequest):
         raise RequestError(
             f"expected a CampaignRequest, got {type(request).__name__}"
+        )
+    # Checked outside the memo of _resolve: workers=True equals (and
+    # hashes like) workers=1, so a memoized resolution would let it in.
+    workers = request.workers
+    if (not isinstance(workers, int) or isinstance(workers, bool)
+            or not 0 <= workers <= MAX_WORKERS):
+        raise RequestError(
+            f"workers must be an int in [0, {MAX_WORKERS}], got {workers!r}"
         )
     return _resolve(request)
 

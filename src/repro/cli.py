@@ -41,6 +41,7 @@ from repro.analysis import (
     resolve_campaign,
 )
 from repro.analysis.coverage import ENGINES
+from repro.analysis.request import MAX_WORKERS
 from repro.analysis.request import build_field as _build_field
 from repro.faults import (
     DataRetentionFault,
@@ -342,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pure", action="store_true")
     p.add_argument("--workers", type=int, default=0,
                    help="shard the campaign over N worker processes "
-                        "(0 = serial); on the batched engine (the default) "
+                        f"(0 = serial, at most {MAX_WORKERS}); on the "
+                        "batched engine (the default) "
                         "the pool takes only the scalar remainder and, past "
                         f"{LANE_SHARD_MIN_FAULTS} vectorizable faults, "
                         "lane-pass chunks, so a smaller fully vectorizable "
@@ -386,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_memory_args(p, default_n=28)
     p.add_argument("--workers", type=int, default=0,
                    help="shard each campaign over N worker processes "
-                        "(0 = serial); all rows reuse one persistent pool")
+                        f"(0 = serial, at most {MAX_WORKERS}); all rows "
+                        "reuse one persistent pool")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable table (same schema "
                         "as the repro.server POST /compare response)")

@@ -51,12 +51,17 @@ class AddressDecoderFault(Fault):
             addr: tuple(cells) for addr, cells in overrides.items()
         }
 
+    @staticmethod
+    def format_name(subtype: str, overrides) -> str:
+        """The :attr:`name` of a ``subtype`` fault whose overrides are
+        the address-sorted ``(address, cells)`` pairs ``overrides``."""
+        parts = ", ".join(f"{addr}->{list(cells)}" for addr, cells in overrides)
+        return f"{subtype}({parts})"
+
     @property
     def name(self) -> str:
-        parts = ", ".join(
-            f"{addr}->{list(cells)}" for addr, cells in sorted(self._overrides.items())
-        )
-        return f"{self._subtype}({parts})"
+        return self.format_name(self._subtype,
+                                sorted(self._overrides.items()))
 
     def __repr__(self) -> str:
         return self.name

@@ -52,6 +52,7 @@ from repro.faults.coupling import (
     StateCouplingFault,
 )
 from repro.faults.decoder_faults import (
+    AddressDecoderFault,
     af_multi_access,
     af_no_access,
     af_shared_cell,
@@ -262,35 +263,58 @@ def _coupling_sites(semantics: VectorSemantics) -> tuple[BitLocation,
             BitLocation(semantics.victim_cell, semantics.victim_bit))
 
 
-#: Descriptor maker -> (class tag, constructor from the descriptor).
+#: Descriptor maker -> (class tag, constructor from the descriptor,
+#: name from the descriptor).  Each name goes through the fault class's
+#: own ``format_name``, the formatter its ``name`` property calls, so
+#: a missed fault is named without being built.
 _MAKERS = {
-    "SAF": ("SAF", lambda s: StuckAtFault(s.cell, s.value, bit=s.bit)),
+    "SAF": ("SAF", lambda s: StuckAtFault(s.cell, s.value, bit=s.bit),
+            lambda s: StuckAtFault.format_name(s.cell, s.value, s.bit)),
     "TF": ("TF", lambda s: TransitionFault(s.cell, rising=s.rising,
-                                           bit=s.bit)),
-    "SOF": ("SOF", lambda s: StuckOpenFault(s.cell, initial_sense=s.value)),
+                                           bit=s.bit),
+           lambda s: TransitionFault.format_name(s.cell, s.rising, s.bit)),
+    "SOF": ("SOF", lambda s: StuckOpenFault(s.cell, initial_sense=s.value),
+            lambda s: StuckOpenFault.format_name(s.cell)),
     "DRF": ("DRF", lambda s: DataRetentionFault(
-        s.cell, retention=s.extra[0], decay_to=s.value)),
+        s.cell, retention=s.extra[0], decay_to=s.value),
+        lambda s: DataRetentionFault.format_name(s.cell, s.extra[0])),
     "CFin": ("CFin", lambda s: InversionCouplingFault(
-        *_coupling_sites(s), rising=s.rising)),
+        *_coupling_sites(s), rising=s.rising),
+        lambda s: InversionCouplingFault.format_name(
+            s.cell, s.bit, s.victim_cell, s.victim_bit, s.rising)),
     "CFid": ("CFid", lambda s: IdempotentCouplingFault(
-        *_coupling_sites(s), s.rising, s.value)),
+        *_coupling_sites(s), s.rising, s.value),
+        lambda s: IdempotentCouplingFault.format_name(
+            s.cell, s.bit, s.victim_cell, s.victim_bit, s.rising, s.value)),
     "CFst": ("CFst", lambda s: StateCouplingFault(
-        *_coupling_sites(s), int(s.rising), s.value)),
+        *_coupling_sites(s), int(s.rising), s.value),
+        lambda s: StateCouplingFault.format_name(
+            s.cell, s.bit, s.victim_cell, s.victim_bit, int(s.rising),
+            s.value)),
     "BF": ("BF", lambda s: BridgingFault(s.cell, s.victim_cell,
-                                         kind="or" if s.value else "and")),
+                                         kind="or" if s.value else "and"),
+           lambda s: BridgingFault.format_name(
+               "or" if s.value else "and", s.cell, s.victim_cell)),
     "NPSF": ("NPSF", lambda s: StaticNPSF(
         victim=s.cell, neighbors=tuple(cell for cell, _ in s.extra),
-        pattern=tuple(value for _, value in s.extra), force_to=s.value)),
+        pattern=tuple(value for _, value in s.extra), force_to=s.value),
+        lambda s: StaticNPSF.format_name(
+            s.cell, tuple(cell for cell, _ in s.extra),
+            tuple(value for _, value in s.extra), s.value)),
     # Decoder descriptors are ((address, cells),): AF-B and AF-D rows
     # can coincide, so the maker alone says which fault a row is.
-    "AF-A": ("AF", lambda s: af_no_access(s.cell)),
-    "AF-B": ("AF", lambda s: af_unreached_cell(s.cell, s.extra[0][1][0])),
-    "AF-C": ("AF", lambda s: af_multi_access(s.cell, s.extra[0][1][1:])),
-    "AF-D": ("AF", lambda s: af_shared_cell(s.extra[0][1][0], s.cell)),
+    "AF-A": ("AF", lambda s: af_no_access(s.cell),
+             lambda s: AddressDecoderFault.format_name("AF-A", s.extra)),
+    "AF-B": ("AF", lambda s: af_unreached_cell(s.cell, s.extra[0][1][0]),
+             lambda s: AddressDecoderFault.format_name("AF-B", s.extra)),
+    "AF-C": ("AF", lambda s: af_multi_access(s.cell, s.extra[0][1][1:]),
+             lambda s: AddressDecoderFault.format_name("AF-C", s.extra)),
+    "AF-D": ("AF", lambda s: af_shared_cell(s.extra[0][1][0], s.cell),
+             lambda s: AddressDecoderFault.format_name("AF-D", s.extra)),
 }
 
 
-_CLASS_TAGS = {maker: tag for maker, (tag, _make) in _MAKERS.items()}
+_CLASS_TAGS = {maker: entry[0] for maker, entry in _MAKERS.items()}
 
 
 def fault_from_descriptor(maker: str, semantics: VectorSemantics) -> Fault:
@@ -317,9 +341,9 @@ class FaultUniverse:
     A universe made from a spec also keeps its :attr:`descriptors`
     table.  :meth:`from_spec` builds no fault up front: indexing builds
     (and keeps) the one fault asked for, iteration builds the rest, and
-    ``len``, :meth:`counts`, :meth:`classes` and :meth:`class_tags` read
-    the table alone.  Every query returns what the fully built universe
-    returns.
+    ``len``, :meth:`counts`, :meth:`classes`, :meth:`class_tags` and
+    :meth:`name_of` read the table alone.  Every query returns what the
+    fully built universe returns.
 
     >>> universe = single_cell_universe(4, classes=("SAF",))
     >>> len(universe)
@@ -327,8 +351,8 @@ class FaultUniverse:
     >>> sorted(universe.counts())
     ['SAF']
     >>> lazy = FaultUniverse.from_spec(universe.spec)
-    >>> lazy.counts(), lazy[7].name
-    ({'SAF': 8}, 'SA1(cell=3, bit=0)')
+    >>> lazy.counts(), lazy.name_of(7), lazy[7].name
+    ({'SAF': 8}, 'SA1(cell=3, bit=0)', 'SA1(cell=3, bit=0)')
     """
 
     def __init__(self, faults: list[Fault], spec: UniverseSpec | None = None):
@@ -366,6 +390,16 @@ class FaultUniverse:
             fault = fault_from_descriptor(*self._table.rows[index])
             self._faults[index] = fault
         return fault
+
+    def name_of(self, index: int) -> str:
+        """The name of the fault at ``index``: the built fault's when it
+        exists, else formatted from its descriptor row, building
+        nothing."""
+        fault = self._faults[index]
+        if fault is not None:
+            return fault.name
+        maker, semantics = self._table.rows[index]
+        return _MAKERS[maker][2](semantics)
 
     def _all(self) -> list[Fault]:
         if not self._complete:

@@ -132,6 +132,24 @@ class GF2m:
             )
         return self._generator
 
+    def log_tables(self) -> tuple[list[int], list[int]] | None:
+        """The ``(antilog, log)`` tables of table mode, None above m = 16.
+
+        ``antilog`` is doubled, so ``antilog[log[a] + log[b]] == a * b``
+        for non-zero ``a`` and ``b`` with no modulo reduction.  Callers
+        that multiply by a few fixed constants many times (the word
+        LFSR's recurrence) read them instead of calling :meth:`mul`.
+
+        >>> from repro.gf2 import poly_from_string
+        >>> F = GF2m(poly_from_string("1+z+z^4"))
+        >>> antilog, log = F.log_tables()
+        >>> antilog[log[0b1000] + log[0b0010]] == F.mul(0b1000, 0b0010)
+        True
+        """
+        if self._exp is None or self._log is None:
+            return None
+        return self._exp, self._log
+
     def is_primitive_modulus(self) -> bool:
         """True when ``z`` itself generates the multiplicative group."""
         return is_primitive(self._modulus)

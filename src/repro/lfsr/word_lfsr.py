@@ -21,6 +21,7 @@ bury the word automaton in the memory periphery.
 
 from __future__ import annotations
 
+from repro.gf2.poly import poly_modmul
 from repro.gf2m.field import GF2m
 from repro.gf2m.poly_ext import (
     wpoly,
@@ -89,6 +90,18 @@ class WordLFSR:
         self._mult = tuple(
             field.mul(inv_a0, coeffs[self._k - j]) for j in range(self._k)
         )
+        # Stepping terms, built once per LFSR: next_word multiplies the
+        # same k constants over and over, so it takes each product from
+        # the field's log/antilog tables (one lookup per term) instead
+        # of a validated field.mul call.  A field past table mode keeps
+        # the carry-less multiply.  Zero multipliers drop out.
+        self._tables = field.log_tables()
+        if self._tables is None:
+            self._terms = tuple((j, c) for j, c in enumerate(self._mult) if c)
+        else:
+            log = self._tables[1]
+            self._terms = tuple(
+                (j, log[c]) for j, c in enumerate(self._mult) if c)
 
     # -- introspection ---------------------------------------------------------
 
@@ -131,11 +144,19 @@ class WordLFSR:
 
     def next_word(self) -> int:
         """The recurrence value ``s[t+k]`` for the current window (no step)."""
-        field = self._field
+        state = self._state
         acc = 0
-        for mult, s in zip(self._mult, self._state, strict=True):
-            if mult and s:
-                acc = field.add(acc, field.mul(mult, s))
+        if self._tables is None:
+            modulus = self._field.modulus
+            for j, mult in self._terms:
+                if state[j]:
+                    acc ^= poly_modmul(mult, state[j], modulus)
+            return acc
+        antilog, log = self._tables
+        for j, log_mult in self._terms:
+            s = state[j]
+            if s:
+                acc ^= antilog[log_mult + log[s]]
         return acc
 
     def step(self) -> int:

@@ -203,7 +203,7 @@ class ReproApp:
 
     async def _verify(self, body: dict) -> dict:
         # The request surface is the coverage body (engine/workers are
-        # accepted and ignored -- verification is static).
+        # validated and ignored -- verification is static).
         request = self._parse(request_from_dict, body)
 
         def run() -> dict:

@@ -290,6 +290,9 @@ class OpStream:
             None)
         if first is not None:
             raise StreamError((first,))
+        # The fields that passed, so verify() need not check them again.
+        self.__dict__["_constructed_from"] = (self.ops, self.info,
+                                              self.ports)
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.diagnostics import CODES, ERROR, Diagnostic, StreamError
 from repro.sim.ir import GROUPABLE_KINDS, iter_construction_diagnostics
@@ -143,11 +143,24 @@ def verify(stream: "OpStream", *, dataflow: bool = True) -> StreamReport:
     dataflow:
         Include the ``W``-code dataflow pass.  ``False`` runs the
         error-only structural pass -- the fast gate
-        :func:`~repro.analysis.request.execute_request` uses.
+        :func:`~repro.analysis.request.execute_request` uses.  It keeps
+        no per-cell access events, and it checks the operand domains
+        with a column screen (one column per operand and kind, tested
+        by type set and ``min``/``max``); only when the screen cannot
+        prove a stream clean does the per-record walk run, so the
+        diagnostics are exactly the walk's.  The group, segment and
+        accumulator checks stay ordered walks either way; the
+        construction checks are skipped for a stream whose construction
+        already passed its current ``ops``, ``info`` and ``ports``.
     """
-    diagnostics = list(iter_construction_diagnostics(
-        stream.ops, stream.info, stream.ports))
-    walk = _walk_records(stream)
+    diagnostics = _construction_diagnostics(stream)
+    if dataflow or diagnostics or not _operands_screen_clean(stream):
+        walk = _walk_records(stream, cells=dataflow)
+    else:
+        # The screen proved every operand domain clean, so the ordered
+        # walk has nothing left to find but the accumulator events.
+        walk = _Walk()
+        walk.acc_events = _accumulator_events(stream.ops)
     diagnostics.extend(walk.diagnostics)
     diagnostics.extend(_table_diagnostics(stream))
     diagnostics.extend(_segment_diagnostics(stream))
@@ -170,8 +183,26 @@ def verify_or_raise(stream: "OpStream") -> None:
 # -- the walk ---------------------------------------------------------------
 
 
-def _walk_records(stream: "OpStream") -> _Walk:
-    """One pass: operand domains, cycle numbering, access/acc events."""
+def _construction_diagnostics(stream: "OpStream") -> list[Diagnostic]:
+    """E001-E003 and E101-E107, unless :class:`~repro.sim.ir.OpStream`
+    construction already passed these very ``ops``, ``info`` and
+    ``ports`` objects (it records them): the checks are a function of
+    those three alone, so a freshly compiled stream is not walked for
+    them twice."""
+    passed = getattr(stream, "__dict__", {}).get("_constructed_from")
+    if passed is not None and passed[0] is stream.ops \
+            and passed[1] is stream.info and passed[2] is stream.ports:
+        return []
+    return list(iter_construction_diagnostics(
+        stream.ops, stream.info, stream.ports))
+
+
+def _walk_records(stream: "OpStream", *, cells: bool = True) -> _Walk:
+    """One pass: operand domains, cycle numbering, access/acc events.
+
+    ``cells=False`` skips the per-cell access events, which only the
+    dataflow pass reads.
+    """
     walk = _Walk()
     ops = stream.ops
     n = stream.n if isinstance(stream.n, int) and stream.n >= 1 else None
@@ -202,8 +233,9 @@ def _walk_records(stream: "OpStream") -> _Walk:
                     writes.append((member, rec))
             # Read-before-write: the group's reads all sense pre-cycle
             # state, so they precede every member write temporally.
-            for member, rec in itertools.chain(reads, writes):
-                _cell_event(walk, rec, member, n)
+            if cells:
+                for member, rec in itertools.chain(reads, writes):
+                    _cell_event(walk, rec, member, n)
             cycle += 1
             index = max(stop, index + 1)
             continue
@@ -224,12 +256,99 @@ def _walk_records(stream: "OpStream") -> _Walk:
                     "E105", index,
                     f"op {index}: port {port} out of range [0, {ports})"))
             _acc_event(walk, record, index, cycle)
-            _cell_event(walk, record, index, n)
+            if cells:
+                _cell_event(walk, record, index, n)
             cycle += 1
             index += 1
             continue
         index += 1  # unknown kind: E003 already reported
     return walk
+
+
+def _ints_within(values: list[Any], low: int,
+                 high: int | None = None) -> bool:
+    """True when every value is a plain int in ``[low, high]`` (no upper
+    bound for ``high=None``).  A bool fails: the screen only has to be
+    sure, and the per-record walk judges the rest."""
+    if not values:
+        return True
+    if not set(map(type, values)) <= {int}:
+        return False
+    return min(values) >= low and (high is None or max(values) <= high)
+
+
+def _operands_screen_clean(stream: "OpStream") -> bool:
+    """Column screen of the per-record domain checks of a stream whose
+    construction diagnostics are clean.
+
+    True proves that :func:`_walk_records` would report nothing: no
+    address outside the array (E201), no value or mask wider than the
+    word (E202), no table reference past ``tables`` (E203), no bad
+    accumulator id (E205), no bad idle count (E206) and no port out of
+    range (E105; group members are the construction check's, so every
+    access record's port is in range when the flat ones are).  Each
+    operand is gathered per kind into a column and tested with a
+    type-set and ``min``/``max``.  False only means "not proven": the
+    walk then runs and reports exactly what it always did.
+    """
+    n, m, ports = stream.n, stream.m, stream.ports
+    if not (type(n) is int and n >= 1 and type(m) is int and m >= 1
+            and type(ports) is int):
+        return False
+    ops = stream.ops
+    mask = (1 << m) - 1
+    access = [rec for rec in ops if rec[0] != "grp" and rec[0] != "i"]
+    ra = [rec for rec in access if rec[0] == "ra"]
+    wa = [rec for rec in access if rec[0] == "wa"]
+    return (
+        _ints_within([rec[2] for rec in access], 0, n - 1)
+        and _ints_within([rec[1] for rec in access], 0, ports - 1)
+        and _ints_within([rec[3] for rec in access if rec[0] == "w"],
+                         0, mask)
+        and _ints_within([rec[4] for rec in access
+                          if rec[0] == "r" or rec[0] == "s"], 0, mask)
+        and _ints_within([rec[3] for rec in ra if rec[3] is not None],
+                         0, len(stream.tables) - 1)
+        and _ints_within([rec[4] for rec in ra], 0, mask)
+        and _ints_within([rec[3] for rec in wa], 0, mask)
+        and _ints_within([rec[4] for rec in wa if rec[4] is not None],
+                         0, mask)
+        and _ints_within([rec[5] for rec in ra] + [rec[5] for rec in wa], 0)
+        and _ints_within([rec[5] for rec in ops if rec[0] == "i"], 0)
+    )
+
+
+def _accumulator_events(ops: tuple["Op", ...]
+                        ) -> dict[int, list[tuple[str, int, int]]]:
+    """The walk's ``acc_events`` alone, for a stream that passed the
+    construction checks and :func:`_operands_screen_clean`: well-formed
+    groups, valid idle counts and accumulator ids."""
+    events: dict[int, list[tuple[str, int, int]]] = {}
+    if not any(rec[0] == "ra" or rec[0] == "wa" for rec in ops):
+        return events
+    index, total, cycle = 0, len(ops), 0
+    while index < total:
+        record = ops[index]
+        kind = record[0]
+        if kind == "grp":
+            stop = index + 1 + record[3]
+            for member in range(index + 1, stop):
+                rec = ops[member]
+                if rec[0] == "ra" or rec[0] == "wa":
+                    events.setdefault(rec[5], []).append(
+                        (rec[0], cycle, member))
+            index = stop
+            cycle += 1
+            continue
+        if kind == "i":
+            cycle += record[5]
+        else:
+            if kind == "ra" or kind == "wa":
+                events.setdefault(record[5], []).append(
+                    (kind, cycle, index))
+            cycle += 1
+        index += 1
+    return events
 
 
 def _record_domain(walk: _Walk, rec: "Op", index: int, n: int | None,

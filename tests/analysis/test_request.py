@@ -25,7 +25,7 @@ from repro.analysis import (
     schedule_runner,
 )
 from repro.analysis.complexity import march_operations
-from repro.analysis.request import _TESTS, run_request
+from repro.analysis.request import _TESTS, MAX_WORKERS, run_request
 from repro.faults.universe import UniverseSpec
 from repro.march.library import MARCH_C_MINUS, MATS_PLUS
 from repro.prt import extended_schedule, standard_schedule
@@ -53,6 +53,23 @@ class TestValidation:
             CampaignRequest(test="mats", n=8, backend="int")
         with pytest.raises(RequestError, match="workers must be"):
             resolve_campaign(CampaignRequest(test="mats", n=8, workers=-1))
+
+    @pytest.mark.parametrize("workers", [True, False, MAX_WORKERS + 1,
+                                         100000])
+    def test_workers_are_bounded_before_any_pool(self, no_pools, workers):
+        # A bool equals (and hashes like) the int it stands for, so warm
+        # the resolver's memo with that int first.
+        resolve_campaign(CampaignRequest(test="mats", n=8,
+                                         workers=int(workers) % 2))
+        request = CampaignRequest(test="mats", n=8, workers=workers)
+        with pytest.raises(RequestError, match="workers must be an int in"):
+            run_request(request, cache=False)
+
+    def test_the_pool_guard_catches_a_pool(self, no_pools):
+        # The guard above is only evidence if starting a pool trips it.
+        with pytest.raises(AssertionError, match="worker pool was started"):
+            run_request(CampaignRequest(test="mats", n=8, engine="compiled",
+                                        workers=MAX_WORKERS), cache=False)
 
     def test_bad_polynomial(self):
         with pytest.raises(RequestError, match="bad field polynomial"):

@@ -13,6 +13,8 @@ installed; the property-test modules themselves still require it.
 
 import os
 
+import pytest
+
 try:
     from hypothesis import settings
 except ImportError:  # pragma: no cover - exercised only without hypothesis
@@ -24,3 +26,18 @@ if settings is not None:
     settings.load_profile(
         os.environ.get("HYPOTHESIS_PROFILE", "deterministic")
     )
+
+
+@pytest.fixture()
+def no_pools(monkeypatch):
+    """Make starting a worker pool fail: ``WorkerPool`` and
+    ``shared_pool`` (in every module that imports it) raise instead."""
+    import repro.sim
+    from repro.sim import batched, campaign, pool
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a worker pool was started: {args!r}")
+
+    monkeypatch.setattr(pool, "WorkerPool", refuse)
+    for module in (pool, repro.sim, campaign, batched):
+        monkeypatch.setattr(module, "shared_pool", refuse)

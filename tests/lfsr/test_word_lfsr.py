@@ -1,7 +1,7 @@
 """Tests for the word-oriented LFSR (paper Figure 1(b) machinery)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf2 import poly_from_string, primitive_polynomial
@@ -111,6 +111,69 @@ class TestRecurrence:
         lfsr = WordLFSR(F, PAPER_G, seed=(0, 0))
         assert lfsr.sequence(5) == [0] * 5
         assert lfsr.period() == 0
+
+
+#: Fields for the table-stepping check: GF(2), the paper's GF(16), a
+#: GF(16) from a non-primitive modulus (its tables hang off a searched
+#: generator, not z), GF(2^8), and GF(2^17) and GF(2^20), which are past
+#: table mode and step by carry-less multiplies.
+STEP_FIELDS = {
+    "GF(2)": GF2m(primitive_polynomial(1)),
+    "GF(16)": F,
+    "GF(16) non-primitive": GF2m(poly_from_string("1+z+z^2+z^3+z^4")),
+    "GF(2^8)": GF2m(primitive_polynomial(8)),
+    "GF(2^17)": GF2m(primitive_polynomial(17)),
+    "GF(2^20)": GF2m(primitive_polynomial(20)),
+}
+
+
+def _reference_stream(field, coeffs, seed, count):
+    """``count`` words of the recurrence, by validated field.mul/add."""
+    k = len(coeffs) - 1
+    inv_a0 = field.inv(coeffs[0])
+    mult = [field.mul(inv_a0, coeffs[k - j]) for j in range(k)]
+    state, out = list(seed), []
+    for _ in range(count):
+        out.append(state[0])
+        word = 0
+        for j in range(k):
+            word = field.add(word, field.mul(mult[j], state[j]))
+        state = state[1:] + [word]
+    return out
+
+
+@st.composite
+def _automata(draw):
+    name = draw(st.sampled_from(sorted(STEP_FIELDS)))
+    field = STEP_FIELDS[name]
+    k = draw(st.integers(1, 5))
+    words = st.integers(0, field.size - 1)
+    nonzero = st.integers(1, field.size - 1)
+    coeffs = (draw(nonzero),) + tuple(draw(words) for _ in range(k - 1)) \
+        + (draw(nonzero),)
+    seed = tuple(draw(words) for _ in range(k))
+    return name, coeffs, seed
+
+
+class TestTableStepping:
+    def test_fields_cover_both_stepping_paths(self):
+        with_tables = {name for name, field in STEP_FIELDS.items()
+                       if field.log_tables() is not None}
+        assert with_tables == {"GF(2)", "GF(16)", "GF(16) non-primitive",
+                               "GF(2^8)"}
+
+    @settings(max_examples=120, deadline=None)
+    @given(_automata(), st.integers(0, 40))
+    def test_sequence_equals_the_reference_recurrence(self, automaton,
+                                                      count):
+        name, coeffs, seed = automaton
+        field = STEP_FIELDS[name]
+        lfsr = WordLFSR(field, coeffs, seed=seed)
+        assert lfsr.sequence(count) == \
+            _reference_stream(field, coeffs, seed, count)
+        # A copy steps on from the same window, by the same tables.
+        copy = lfsr.copy()
+        assert copy.sequence(5) == lfsr.sequence(5)
 
 
 class TestPeriods:

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.request import CampaignRequest
+from repro.analysis.request import MAX_WORKERS, CampaignRequest
 from repro.server import JobManager, ResultCache, TestClient, create_app
 from repro.server.http import serve
 
@@ -113,6 +113,20 @@ class TestCoverageEndpoint:
                                {"test": "mats", "n": 8, "backend": "int"})
         assert response.status == 400
         assert "unknown field(s) ['backend']" in response.json()["error"]
+
+    @pytest.mark.parametrize("workers", [100000, MAX_WORKERS + 1, -1])
+    def test_worker_count_out_of_range_is_400(self, client, no_pools,
+                                              workers):
+        response = client.post("/coverage",
+                               {"test": "mats", "n": 8, "workers": workers})
+        assert response.status == 400
+        assert "workers must be an int in" in response.json()["error"]
+
+    def test_boolean_worker_count_is_400(self, client, no_pools):
+        response = client.post("/coverage",
+                               {"test": "mats", "n": 8, "workers": True})
+        assert response.status == 400
+        assert response.json()["field"] == "workers"
 
     def test_default_universe_at_one_cell_is_400(self, client):
         response = client.post("/coverage", {"test": "march-c", "n": 1})

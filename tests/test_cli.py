@@ -194,6 +194,20 @@ class TestCoverageCommand:
         assert err.count("\n") == 1  # one line, no traceback
 
 
+    @pytest.mark.parametrize("command", [
+        ["coverage", "--test", "mats+"],
+        ["compare"],
+    ])
+    def test_worker_count_past_the_cap_exits_two(self, capsys, no_pools,
+                                                 command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--n", "8", "--workers", "100000"])
+        assert excinfo.value.code == 2  # resolver validation
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers must be an int in [0, 32]")
+        assert err.count("\n") == 1  # one line, no traceback
+
+
 class TestCompareOverhead:
     def test_compare(self, capsys):
         code = main(["compare", "--n", "14"])

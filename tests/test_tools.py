@@ -349,6 +349,33 @@ class TestCheckBenchSpecLaneRows:
         assert any("spec_s" in r for r in regressions)
 
 
+class TestCheckBenchGlueRows:
+    """Glue timings are diffed against the baseline, with no own gate."""
+
+    @staticmethod
+    def _glue_row(**overrides):
+        row = {"test": "PRT-3", "n": 64, "m": 1,
+               "universe": "standard m=1 (glue)", "records": 792,
+               "misses": 252, "compile_s": 0.1, "verify_s": 0.1,
+               "naming_s": 0.1, "built_naming_s": 0.4}
+        row.update(overrides)
+        return row
+
+    @pytest.mark.parametrize("field", ["compile_s", "verify_s", "naming_s"])
+    def test_slower_glue_is_a_regression(self, field):
+        base = {"glue_rows": [self._glue_row()]}
+        current = {"glue_rows": [self._glue_row(**{field: 0.5})]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert any(field in r for r in regressions)
+
+    def test_matching_glue_passes(self):
+        base = {"glue_rows": [self._glue_row()]}
+        current = {"glue_rows": [self._glue_row(verify_s=0.2)]}
+        lines, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert not regressions
+        assert any("glue" in line for line in lines)
+
+
 class TestCheckBenchSchedulerGates:
     """The current-run-only parallel-scheduler gates."""
 
