@@ -37,8 +37,8 @@ encodings, so the "scalar-heavy" rows now resolve entirely in lane
 passes and the pool is never started -- the rows are retained under
 their original identities precisely to pin that cliff: ``sharded_s``
 tracking ``batched_s`` (instead of interpreted/workers) *is* the win.
-Alongside them, the ``standard lane-sharded`` rows measure the current
-scheduler on its real workload: the *full* ``standard_universe(n)``
+Alongside them, the ``standard lane-sharded`` rows measure process
+sharding on its real workload: the *full* ``standard_universe(n)``
 through ``run_campaign_batched`` serially vs ``workers=N``, where past
 the lane-shard threshold whole lane-pass chunks fan out across the pool
 (``sharded_vs_serial`` is the cores-are-a-real-win ratio the CI gate
@@ -67,25 +67,7 @@ committed baseline keeps it ``[]``, and ``tools/check_bench.py`` fails
 when a class that vectorized in the baseline regresses to the scalar
 fallback.
 
-A seventh section (``class_cost_rows``) is the *cost-model calibration*:
-one class-pure scalar campaign per fault class (March C- over the
-standard + NPSF universes), emitting measured ``per_fault_us`` rows that
-``repro.sim.costs.CostModel.from_benchmark`` reads back to re-derive the
-relative cost table on any host.  The committed baseline is where the
-default table's numbers come from (NPSF ~3x a stuck-at replay).
-
-An eighth section (``shard_balance_rows``) measures what that table
-buys: a skewed universe (cheap single-cell SAF/TF head, expensive NPSF
-tail) is cut by the legacy fixed ``chunk_size=128`` plan, by the
-cost-model plan, and by the cost-model plan with the work-stealing
-budget armed (oversized shards split mid-run exactly as a stealing
-worker splits them), and every shard is executed through the worker-side
-task runner with its wall clock recorded.  The figure of merit is the
-*imbalance ratio* -- max/mean shard wall time -- which bounds how long a
-straggler shard idles the other workers; ``tools/check_bench.py`` fails
-when the stealing plan stops beating fixed-128 on it.
-
-A ninth section (``cache_rows``) times the serving layer's
+A seventh section (``cache_rows``) times the serving layer's
 content-addressed result cache (``repro.server.cache``): one cold
 campaign through ``execute_request`` (full ``standard_universe(n)``,
 batched engine) vs the warm repeat served from the cache -- the warm hit
@@ -94,7 +76,7 @@ materializing the universe.  The acceptance bar is >= 100x at n=1024
 (``min_cache_speedup``); in practice the hit is microseconds against a
 half-second campaign, three to four orders of magnitude.
 
-A tenth section (``default_rows``) keeps the *default path* fast: one
+An eighth section (``default_rows``) keeps the *default path* fast: one
 ``run_request(CampaignRequest(test, n, m), cache=False)`` on the default
 ``engine="auto"`` against the same request with ``engine="compiled"``,
 for March C- and PRT-3 at one bit-oriented and one word-oriented
@@ -103,7 +85,7 @@ geometry.  ``default_vs_compiled`` is a same-host ratio, and
 least 1000 faults -- the sign that ``"auto"`` stopped resolving to the
 lane-parallel engine.
 
-An eleventh section (``spec_lane_rows``) times the batched engine's
+A ninth section (``spec_lane_rows``) times the batched engine's
 lane source on its own: the descriptor tables read straight from
 ``standard_universe_spec(n, m)`` (``descriptor_table`` then
 ``partition_table`` and the class tags, no ``Fault`` built) against the
@@ -112,7 +94,7 @@ Both outputs must be equal before a number is emitted.
 ``spec_vs_enumerate`` is a same-host ratio, and ``tools/check_bench.py``
 fails when it drops below 2 on a row of at least 1000 faults.
 
-A twelfth section (``glue_rows``) times the per-request glue around the
+A tenth section (``glue_rows``) times the per-request glue around the
 lane kernels of a cold request, for March C-, PRT-3 and the dual-port
 schedule at n=512/m=1 and n=176/m=8: a fresh stream compile (its digest
 must equal the request path's stream), the error-only static verify of
@@ -182,7 +164,6 @@ from repro.prt import (  # noqa: E402
 )
 from repro.server.cache import ResultCache  # noqa: E402
 from repro.sim import (  # noqa: E402
-    CostModel,
     cached_dual_port_stream,
     cached_quad_port_stream,
     compile_march,
@@ -194,16 +175,6 @@ from repro.sim import (  # noqa: E402
     shutdown_shared_pools,
     verify,
 )
-# The shard-balance section measures the scheduler's own unit of work
-# (per-shard wall clock through the worker-side task runner), which the
-# public campaign surface deliberately does not expose.
-from repro.sim.campaign import (  # noqa: E402
-    STEAL_BUDGET_S,
-    _reference_pass,
-    _run_task,
-    _scalar_task,
-)
-from repro.sim.pool import _WORKER_STREAMS  # noqa: E402
 
 SIZES = (64, 256, 1024)
 SAMPLE = {64: None, 256: 400, 1024: 200}  # None = full universe
@@ -583,7 +554,7 @@ def bench_sharded(name: str, make_runner, n: int, workers: int) -> dict:
 
 
 def bench_lane_sharded(n: int, workers: int) -> dict:
-    """The scheduler on its real workload: full standard universe,
+    """Process sharding on its real workload: full standard universe,
     serial batched vs ``workers=N``.
 
     Past ``LANE_SHARD_MIN_FAULTS`` whole lane-pass chunks fan out across
@@ -618,122 +589,6 @@ def bench_lane_sharded(n: int, workers: int) -> dict:
           f"batched {t_bat:>7.3f}s  sharded({workers}w) {t_shd:>7.3f}s  "
           f"x{ratio} vs serial")
     return row
-
-
-CLASS_COST_SAMPLE = 150
-
-
-def bench_class_costs(n: int) -> list[dict]:
-    """Cost-model calibration: measured scalar replay cost per class.
-
-    One class-pure campaign per fault class over the standard + NPSF
-    universes (the classes the default table names), emitting
-    ``per_fault_us`` rows that :meth:`CostModel.from_benchmark` reads
-    back -- the committed baseline is the provenance of the built-in
-    ``DEFAULT_CLASS_COSTS`` numbers.
-    """
-    universe = standard_universe(n) + npsf_universe(n, max_victims=32)
-    by_class: dict[str, list] = {}
-    for fault in universe:
-        by_class.setdefault(fault.fault_class, []).append(fault)
-    measured: dict[str, tuple[int, float]] = {}
-    for fault_class in sorted(by_class):
-        faults = by_class[fault_class]
-        if len(faults) > CLASS_COST_SAMPLE:
-            step = len(faults) // CLASS_COST_SAMPLE
-            faults = faults[::step][:CLASS_COST_SAMPLE]
-        elapsed, _report = _time_coverage(march_runner(MARCH_C_MINUS),
-                                          faults, n, engine="compiled")
-        measured[fault_class] = (len(faults), elapsed / len(faults))
-    floor = min(per_fault for _count, per_fault in measured.values())
-    rows = []
-    for fault_class, (count, per_fault) in sorted(measured.items()):
-        rows.append({
-            "fault_class": fault_class,
-            "n": n,
-            "faults": count,
-            "per_fault_us": round(per_fault * 1e6, 2),
-            "relative_cost": round(per_fault / floor, 2),
-        })
-        print(f"  cost    n={n:<5} {fault_class:<5} faults={count:<5} "
-              f"{per_fault * 1e6:>8.1f}us/fault  "
-              f"x{per_fault / floor:.2f} vs cheapest")
-    return rows
-
-
-SHARD_BALANCE_WORKERS = 2
-SHARD_BALANCE_STRATEGIES = ("fixed-128", "cost-model", "stealing")
-
-
-def _drain_balance_queue(tasks: list) -> list[float]:
-    """Execute shard tasks through the worker-side runner, in-process.
-
-    Remainder tasks (a budgeted shard splitting mid-range, exactly what
-    a stealing worker hands back) are re-queued just as the real drain
-    re-queues them; the returned list holds one wall-clock entry per
-    executed shard piece.
-    """
-    times = []
-    queue = list(tasks)
-    while queue:
-        _tag, _lo, _hi, _data, remainder, elapsed = _run_task(queue.pop(0))
-        times.append(elapsed)
-        if remainder is not None:
-            queue.append(remainder)
-    return times
-
-
-def bench_shard_balance(n: int, workers: int) -> list[dict]:
-    """Fixed-size vs cost-model vs stealing plans on a skewed universe.
-
-    The universe is deliberately adversarial for fixed ``chunk_size=128``
-    shards: a cheap single-cell SAF/TF head (early-abort replays) ahead
-    of an NPSF tail (per-write neighbourhood settles), so equal fault
-    *counts* are maximally unequal *work*.  Each plan's shards run
-    through the worker-side task runner and the imbalance ratio
-    (max/mean shard wall time -- how long the straggler idles everyone
-    else) lands in the JSON; the stealing plan arms the real
-    ``STEAL_BUDGET_S`` so oversized shards split exactly as they do
-    inside the pool.
-    """
-    faults = list(single_cell_universe(n, classes=("SAF", "TF"))) \
-        + list(npsf_universe(n, max_victims=32))
-    stream = compile_march(MARCH_C_MINUS, n)
-    _reference_pass(stream, n, 1)
-    token = f"bench-balance-{n}"
-    _WORKER_STREAMS[token] = stream
-    model = CostModel()
-    plans = (
-        ("fixed-128", model.plan(faults, workers, chunk_size=128), None),
-        ("cost-model", model.plan(faults, workers), None),
-        ("stealing", model.plan(faults, workers), STEAL_BUDGET_S),
-    )
-    rows = []
-    try:
-        for strategy, plan, budget in plans:
-            times = _drain_balance_queue(
-                [_scalar_task("list", token, None, lo, hi, faults,
-                              None, n, 1, budget) for lo, hi in plan])
-            mean = sum(times) / len(times)
-            imbalance = round(max(times) / mean, 2) if mean else 1.0
-            rows.append({
-                "test": "March C-",
-                "n": n,
-                "universe": f"skewed NPSF tail [{strategy}]",
-                "strategy": strategy,
-                "workers": workers,
-                "faults": len(faults),
-                "shards": len(times),
-                "max_shard_s": round(max(times), 4),
-                "mean_shard_s": round(mean, 4),
-                "imbalance": imbalance,
-            })
-            print(f" balance  n={n:<5} [{strategy:<10}] "
-                  f"shards={len(times):<4} max {max(times):>7.4f}s  "
-                  f"mean {mean:>7.4f}s  imbalance x{imbalance}")
-    finally:
-        _WORKER_STREAMS.pop(token, None)
-    return rows
 
 
 CACHE_TESTS = (("March C-", "march-c"), ("PRT-3", "prt3"))
@@ -998,8 +853,6 @@ def main(argv: list[str] | None = None) -> int:
         wordlane_sizes = [64]
         census_sizes = [64]
         cache_sizes = [64]
-        class_cost_sizes = [64]
-        balance_sizes = [64]
         default_geometries = [(64, 1), (32, 4)]
         spec_lane_geometries = [(64, 1), (32, 8)]
         glue_geometries = [(64, 1), (32, 8)]
@@ -1011,8 +864,6 @@ def main(argv: list[str] | None = None) -> int:
         wordlane_sizes = [64, 1024]
         census_sizes = [64, 1024]
         cache_sizes = [1024]
-        class_cost_sizes = [256]
-        balance_sizes = [256]
         default_geometries = [(256, 1), (64, 4)]
         spec_lane_geometries = [(1024, 1), (256, 8)]
         glue_geometries = [(512, 1), (176, 8)]
@@ -1062,13 +913,6 @@ def main(argv: list[str] | None = None) -> int:
                     name, lambda n=n, build=build: build(n), n,
                     args.workers))
             sharded_rows.append(bench_lane_sharded(n, args.workers))
-    class_cost_rows = []
-    for n in class_cost_sizes:
-        class_cost_rows.extend(bench_class_costs(n))
-    shard_balance_rows = []
-    for n in balance_sizes:
-        shard_balance_rows.extend(
-            bench_shard_balance(n, SHARD_BALANCE_WORKERS))
     summary = {
         "benchmark": "campaign_engine",
         "python": sys.version.split()[0],
@@ -1121,26 +965,11 @@ def main(argv: list[str] | None = None) -> int:
             r["spec_vs_enumerate"] for r in spec_lane_rows),
         "glue_rows": glue_rows,
         "sharded_rows": sharded_rows,
-        # Cost-model calibration: CostModel.from_benchmark(summary)
-        # rebuilds the relative class-cost table from these rows.
-        "class_cost_rows": class_cost_rows,
-        "shard_balance_rows": shard_balance_rows,
     }
     if sharded_rows:
         summary["min_sharded_speedup"] = min(
             r["speedup_sharded"] for r in sharded_rows
             if "speedup_sharded" in r)
-    if shard_balance_rows:
-        by_plan = {}
-        for row in shard_balance_rows:
-            by_plan.setdefault(row["strategy"], []).append(row["imbalance"])
-        # >1 means stealing shards are flatter than fixed-128 shards at
-        # every benchmarked geometry; check_bench fails when it dips
-        # below 1.
-        summary["min_balance_gain"] = round(
-            min(fixed / steal for fixed, steal
-                in zip(by_plan["fixed-128"], by_plan["stealing"],
-                       strict=True)), 2)
     shutdown_shared_pools()
     text = json.dumps(summary, indent=2)
     if args.out:

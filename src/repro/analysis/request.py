@@ -173,8 +173,16 @@ def build_field(m: int, poly: str | None) -> GF2m | None:
     if m == 1 and poly is None:
         return None
     if poly is not None:
-        return GF2m(poly_from_string(poly))
-    return GF2m(primitive_polynomial(m))
+        return _field(poly_from_string(poly))
+    return _field(primitive_polynomial(m))
+
+
+@lru_cache(maxsize=32)
+def _field(modulus: int) -> GF2m:
+    """One shared :class:`GF2m` per modulus: a field is immutable once
+    built, and building one tests irreducibility, searches a generator
+    and, up to GF(2^16), fills log tables of ``2**m`` entries."""
+    return GF2m(modulus)
 
 
 def _ports_for(test: str) -> int:
@@ -325,10 +333,6 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
             f"unknown test {request.test!r} "
             f"(known: {sorted(_TESTS)})"
         )
-    if not isinstance(request.n, int) or request.n < 1:
-        raise RequestError(f"n must be a positive int, got {request.n!r}")
-    if not isinstance(request.m, int) or request.m < 1:
-        raise RequestError(f"m must be a positive int, got {request.m!r}")
     if request.engine not in ENGINES:
         raise RequestError(
             f"engine must be one of {ENGINES}, got {request.engine!r}"
@@ -435,15 +439,24 @@ def resolve_campaign(request: CampaignRequest) -> ResolvedCampaign:
         raise RequestError(
             f"expected a CampaignRequest, got {type(request).__name__}"
         )
-    # Checked outside the memo of _resolve: workers=True equals (and
-    # hashes like) workers=1, so a memoized resolution would let it in.
+    # Checked outside the memo of _resolve: m=True and n=8.0 equal (and
+    # hash like) m=1 and n=8, so a memoized resolution would let them in.
+    for name in ("n", "m"):
+        value = getattr(request, name)
+        if not _is_int(value) or value < 1:
+            raise RequestError(
+                f"{name} must be a positive int, got {value!r}")
     workers = request.workers
-    if (not isinstance(workers, int) or isinstance(workers, bool)
-            or not 0 <= workers <= MAX_WORKERS):
+    if not _is_int(workers) or not 0 <= workers <= MAX_WORKERS:
         raise RequestError(
             f"workers must be an int in [0, {MAX_WORKERS}], got {workers!r}"
         )
     return _resolve(request)
+
+
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass

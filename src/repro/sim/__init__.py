@@ -45,21 +45,16 @@ subsystem splits that work into a *compile* phase and a *replay* phase:
    pass.  Non-vectorizable faults fall back to :func:`run_campaign`
    per fault; verdicts are identical on every path.
 
-5. **Parallel scheduling** (:mod:`repro.sim.pool`,
-   :mod:`repro.sim.costs`, :mod:`repro.sim.remote`) -- both campaign
-   engines accept ``workers=N``: a per-fault-class :class:`CostModel`
-   cuts shards of roughly equal predicted work (an NPSF replay costs
-   ~3x a bridging one), a persistent :class:`WorkerPool` runs them off
-   a shared task queue with work stealing (oversized shards split on
-   the fly), and compiled streams broadcast once per host -- through
-   one shared-memory segment when large.  Universes carrying a
+5. **Process sharding** (:mod:`repro.sim.pool`) -- both campaign
+   engines accept ``workers=N``: a persistent :class:`WorkerPool` runs
+   fixed contiguous shards of at most 128 faults (a few per worker on
+   small universes), and compiled streams broadcast once per host --
+   through one shared-memory segment when large.  Universes carrying a
    :class:`~repro.faults.universe.UniverseSpec` travel as ``(spec,
-   index range)``; workers enumerate their faults locally.  The
-   batched engine overlaps its own lane passes with pooled shards.
-   :class:`RemotePool` fans the identical shard tasks out to worker
-   daemons on other hosts (``python -m repro.sim.remote``).  Verdicts
+   index range)``; workers enumerate their faults locally.  The batched
+   engine overlaps its own lane passes with pooled shards.  Verdicts
    are byte-identical on every path, and environments that cannot fork
-   (or reach a daemon) degrade to single-process execution.
+   degrade to single-process execution.
 
 The legacy entry points -- :func:`repro.march.engine.run_march`,
 :meth:`repro.prt.schedule.PiTestSchedule.run`,
@@ -114,24 +109,10 @@ from repro.sim.batched import (
 )
 from repro.sim.pool import (
     PoolUnavailable,
-    TaskFlow,
     WorkerPool,
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.sim.costs import CostModel
-
-
-def __getattr__(name):
-    # RemotePool/ReproDaemon load lazily (PEP 562) so that running the
-    # daemon entry point -- ``python -m repro.sim.remote`` -- does not
-    # import the module twice (once here, once as __main__), which
-    # would trip runpy's double-import RuntimeWarning on every start.
-    if name in ("RemotePool", "ReproDaemon"):
-        from repro.sim import remote
-
-        return getattr(remote, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Op",
@@ -172,11 +153,7 @@ __all__ = [
     "build_lane_model",
     "register_lane_model",
     "PoolUnavailable",
-    "TaskFlow",
     "WorkerPool",
-    "CostModel",
-    "RemotePool",
-    "ReproDaemon",
     "shared_pool",
     "shutdown_shared_pools",
 ]

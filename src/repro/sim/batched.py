@@ -68,20 +68,18 @@ from repro.faults.base import Fault, VectorSemantics
 from repro.memory.packed import LaneFaultModel, PackedMemoryArray
 from repro.sim.campaign import (
     POOL_FAILURES,
-    STEAL_BUDGET_S,
     CampaignResult,
     _check_chunk_size,
-    _check_scheduler,
-    _drain_flow,
+    _drain_shards,
     _monotonic_progress,
     _partition_faults,
     _reference_pass,
     _run_task,
     _scalar_task,
+    _shard_plan,
     partition_table,
     run_campaign,
 )
-from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.ir import OpStream
 from repro.sim.pool import WorkerPool, shared_pool
 
@@ -713,8 +711,7 @@ _MODELS: dict[str, Callable[[list[VectorSemantics]], LaneFaultModel]] = {
 #: Kinds whose lane models ship with the library.  Only these may run
 #: as worker-side lane shards: a *runtime*-registered model exists in
 #: this process but not necessarily in a pool worker (forked before the
-#: registration) or a remote daemon, so those kinds always lane-resolve
-#: in the parent.
+#: registration), so those kinds always lane-resolve in the parent.
 _BUILTIN_KINDS = frozenset(_MODELS)
 
 #: Minimum vectorizable fault count before the batched engine fans lane
@@ -778,9 +775,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
                          progress: Callable[[int, int], None] | None = None,
                          reference_check: bool = True,
                          max_lanes: int = 4096,
-                         pool: WorkerPool | None = None,
-                         scheduler: str = "stealing",
-                         cost_model: CostModel | None = None
+                         pool: WorkerPool | None = None
                          ) -> CampaignResult:
     """Replay one compiled stream against a universe, one pass per class.
 
@@ -823,9 +818,9 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         workers.  Small fully-vectorizable universes never touch (or
         start) a pool at all.
     chunk_size:
-        ``None`` (default) sizes scalar shards by the per-class
-        :class:`~repro.sim.costs.CostModel`; a positive int forces the
-        legacy fixed-size shards.
+        ``None`` (default) cuts scalar shards of at most
+        ``SERIAL_CHUNK`` faults, a few per worker; a positive int fixes
+        the shard length.
     progress:
         ``progress(done, total)`` with ``total`` the full universe size,
         fired after each lane chunk and each fallback chunk.
@@ -835,18 +830,8 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     max_lanes:
         Lane-width cap per pass; a class with more faults is chunked.
     pool:
-        Explicit pool for the shards -- a
-        :class:`~repro.sim.pool.WorkerPool` or a
-        :class:`~repro.sim.remote.RemotePool` of worker daemons;
+        Explicit :class:`~repro.sim.pool.WorkerPool` for the shards;
         default is the process-wide shared pool for ``workers``.
-    scheduler:
-        ``"stealing"`` (default) lets workers return the remainder of
-        an over-budget scalar shard to the shared queue; ``"static"``
-        runs the planned shards as cut.  Verdicts are byte-identical
-        either way.
-    cost_model:
-        Overrides the default :class:`~repro.sim.costs.CostModel` for
-        scalar shard planning.
 
     ``CampaignResult.faults_batched`` reports how many faults the lane
     passes resolved; ``operations_replayed`` counts lane-pass records
@@ -873,11 +858,9 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         return run_campaign(stream, universe, ram_factory=ram_factory,
                             workers=workers, chunk_size=chunk_size,
                             progress=progress,
-                            reference_check=reference_check, pool=pool,
-                            scheduler=scheduler, cost_model=cost_model)
+                            reference_check=reference_check, pool=pool)
     n = stream.n
     chunk_size = _check_chunk_size(chunk_size)
-    _check_scheduler(scheduler)
     if reference_check:
         _reference_pass(stream, n, stream.m)
     # Clamped once here: a pool failure mid-drain re-runs the remainder
@@ -916,8 +899,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     # ship as lane shards; otherwise explicit faults travel.
     spec = getattr(universe, "spec", None) if not unknown_kinds else None
     use_pool = (workers > 0 or pool is not None) and total > 1
-    effective = workers or (getattr(pool, "workers", 0) if pool is not None
-                            else 0)
+    effective = workers or (pool.workers if pool is not None else 0)
     shipped: dict[str, list] = {}
     local_classes = classes
     if use_pool and total - len(fallback) >= LANE_SHARD_MIN_FAULTS:
@@ -927,9 +909,8 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
                          if kind not in shipped}
     pending = None
     if use_pool and (fallback or shipped):
-        pending = _start_shard_flow(stream, faults, fallback, shipped, spec,
-                                    effective, pool, chunk_size, scheduler,
-                                    cost_model, max_lanes)
+        pending = _start_shards(stream, faults, fallback, shipped, spec,
+                                effective, pool, chunk_size, max_lanes)
     if pending is None and shipped:
         # No pool after all: the parent runs every lane pass itself.
         local_classes, shipped = classes, {}
@@ -963,33 +944,33 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
             pending[0].mark_broken()
         raise
 
-    flow_ops = 0
+    pool_ops = 0
 
     def merge(tag, lo, hi, data) -> int:
-        # Position-keyed, so completion/steal order cannot change the
-        # result.  Ops accumulate separately and are committed only on a
+        # Position-keyed, so completion order cannot change the result.
+        # Ops accumulate separately and are committed only on a
         # successful drain -- a mid-drain pool failure re-runs the
         # remainder serially and must not double-count.
-        nonlocal flow_ops
+        nonlocal pool_ops
         if tag == "scalar":
             for index, (det, executed) in zip(fallback[lo:hi], data,
                                               strict=True):
                 verdicts[index] = det
-                flow_ops += executed
+                pool_ops += executed
         else:  # "lane": one worker-side pass over class members [lo:hi)
             kind, detected, executed = data
             _unpack_lanes(detected, classes[kind][lo:hi], verdicts)
-            flow_ops += executed
+            pool_ops += executed
         return hi - lo
 
     finished = False
     if pending is not None:
         expected = len(fallback) + sum(len(m) for m in shipped.values())
-        final = _drain_shard_flow(pending, merge, progress, done, total,
-                                  expected)
+        final = _finish_shards(pending, merge, progress, done, total,
+                               expected)
         if final is not None:
             result.workers_used = effective
-            result.operations_replayed += flow_ops
+            result.operations_replayed += pool_ops
             done = final
             finished = True
     if not finished and (fallback or shipped):
@@ -1029,63 +1010,54 @@ def _unpack_lanes(detected: int, members: list, verdicts: list) -> None:
         verdicts[index] = bit == "1"
 
 
-def _start_shard_flow(stream, faults, fallback, shipped, spec, workers, pool,
-                      chunk_size, scheduler, cost_model, max_lanes):
-    """Broadcast the stream and queue scalar + lane shards on one flow.
+def _start_shards(stream, faults, fallback, shipped, spec, workers, pool,
+                  chunk_size, max_lanes):
+    """Broadcast the stream and queue scalar + lane shards on the pool.
 
-    Scalar shards follow the cost-model plan (budgeted when stealing);
-    lane chunks are cut so every worker gets a few per class without
-    multiplying pass count (a pass costs one replay regardless of
-    width).  Returns ``(pool, flow, outstanding)`` with tasks already
-    flowing, or ``None`` when no pool is available (the caller then runs
-    everything serially).
+    Scalar shards follow the fixed plan of
+    :func:`~repro.sim.campaign.run_campaign`; lane chunks are cut so
+    every worker gets a few per class without multiplying pass count (a
+    pass costs one replay regardless of width).  Returns ``(pool,
+    results)`` with tasks already running, or ``None`` when no pool is
+    available (the caller then runs everything serially).
     """
     if pool is None:
         pool = shared_pool(workers)
-    model = cost_model or DEFAULT_COST_MODEL
-    budget = STEAL_BUDGET_S if scheduler == "stealing" else None
     n, m = stream.n, stream.m
+    # Only a universe without a spec ships its remainder as fault lists.
+    scalar_faults = [faults[index] for index in fallback] \
+        if spec is None else None
     try:
         token = pool.broadcast_stream(stream)
-        flow = pool.flow(_run_task)
+        tasks = [_scalar_task("fallback", token, spec, lo, hi, scalar_faults,
+                              None, n, m)
+                 for lo, hi in _shard_plan(len(fallback), pool.workers,
+                                           chunk_size)]
+        for kind in sorted(shipped):
+            members = shipped[kind]
+            width = min(max_lanes,
+                        max(LANE_SHARD_MIN_CHUNK,
+                            -(-len(members) // (pool.workers * 2))))
+            for base in range(0, len(members), width):
+                hi = min(base + width, len(members))
+                if spec is not None:
+                    tasks.append(("lane", token, spec, kind, base, hi, None,
+                                  n, m))
+                else:
+                    chunk_faults = [faults[i] for i, _sem in members[base:hi]]
+                    tasks.append(("lane-list", token, None, kind, base, hi,
+                                  chunk_faults, n, m))
+        return pool, pool.imap_unordered(_run_task, tasks)
     except POOL_FAILURES:
         pool.mark_broken()
         return None
-    outstanding = 0
-    scalar_faults = [faults[index] for index in fallback]
-    for lo, hi in model.plan(scalar_faults,
-                             workers=getattr(pool, "workers", workers),
-                             chunk_size=chunk_size):
-        flow.put(_scalar_task("fallback", token, spec, lo, hi, scalar_faults,
-                              None, n, m, budget))
-        outstanding += 1
-    pool_workers = getattr(pool, "workers", workers) or workers or 1
-    for kind in sorted(shipped):
-        members = shipped[kind]
-        width = min(max_lanes,
-                    max(LANE_SHARD_MIN_CHUNK,
-                        -(-len(members) // (pool_workers * 2))))
-        for base in range(0, len(members), width):
-            hi = min(base + width, len(members))
-            if spec is not None:
-                flow.put(("lane", token, spec, kind, base, hi, None, n, m))
-            else:
-                chunk_faults = [faults[i] for i, _sem in members[base:hi]]
-                flow.put(("lane-list", token, None, kind, base, hi,
-                          chunk_faults, n, m))
-            outstanding += 1
-    return pool, flow, outstanding
 
 
-def _drain_shard_flow(pending, merge, progress, done, total, expected):
-    """Drain the campaign's flow; ``None`` if the pool broke mid-run."""
-    pool, flow, outstanding = pending
+def _finish_shards(pending, merge, progress, done, total, expected):
+    """Drain the campaign's shards; ``None`` if the pool broke mid-run."""
+    pool, results = pending
     try:
-        try:
-            return _drain_flow(flow, outstanding, expected, progress, done,
-                               total, merge)
-        finally:
-            flow.close()
+        return _drain_shards(results, expected, progress, done, total, merge)
     except POOL_FAILURES:
         pool.mark_broken()
         return None

@@ -14,27 +14,22 @@ instead:
 * **early abort** -- a fault is *detected* at the first mismatching
   checked read, so the typical detected fault costs a short prefix of the
   stream, not the full test;
-* **cost-model shards** -- faults are processed in chunks sized by a
-  per-class :class:`~repro.sim.costs.CostModel` (an NPSF replay costs
-  ~3x a bridging one), giving a progress hook and the unit of work for
-  the ``workers=N`` process fan-out.
+* **fixed shards** -- faults are processed in contiguous chunks of at
+  most ``SERIAL_CHUNK`` faults, giving a progress hook and the unit of
+  work for the ``workers=N`` process fan-out.
 
 The ``workers=N`` path shards over the persistent pools of
 :mod:`repro.sim.pool`: the compiled stream is broadcast once per host
 (shared memory for large streams, never per chunk), and a universe
 carrying a :class:`~repro.faults.universe.UniverseSpec` travels as
 ``(spec, index range)`` shards that workers enumerate locally -- no
-fault pickling at all.  Scheduling is *work stealing* by default:
-shards flow through a shared task queue
-(:meth:`~repro.sim.pool.WorkerPool.flow`), and a worker whose shard
-exceeds its time budget returns the remainder to the queue for an idle
-sibling -- a skewed tail no longer serializes behind one worker.  The
-verdict merge is keyed by universe index, so results are byte-identical
-regardless of steal order.  Pools outlive campaigns, so back-to-back
-campaigns (``compare``, benchmark sweeps, services) amortize pool
-startup.  A :class:`~repro.sim.remote.RemotePool` plugs into the same
-``pool=`` seam to fan the identical shard tasks out to worker daemons
-on other hosts.
+fault pickling at all.  The plan cuts
+``min(SERIAL_CHUNK, ceil(total / (4 * workers)))`` faults per shard, so
+a small universe still gives every worker a few shards and a large one
+never queues shards longer than the serial cadence.  Completed shards
+merge by universe index, so results are byte-identical whichever worker
+ran what.  Pools outlive campaigns, so back-to-back campaigns
+(``compare``, benchmark sweeps, services) amortize pool startup.
 
 Replay cost is ``O(|universe| * detection_prefix)`` -- for strong tests
 the mean prefix is a small fraction of the test length, which is where
@@ -49,7 +44,6 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from dataclasses import fields as dataclass_fields
 from functools import lru_cache
-from time import perf_counter
 
 from repro.faults.base import Fault, VectorSemantics
 from repro.faults.injector import FaultInjector
@@ -62,7 +56,6 @@ from repro.faults.universe import (
 from repro.memory.multiport import MultiPortRAM, PortConflictError
 from repro.memory.ram import SinglePortRAM
 from repro.memory.stream_exec import apply_stream_generic
-from repro.sim.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sim.ir import OpStream
 from repro.sim.pool import (
     PoolUnavailable,
@@ -74,20 +67,13 @@ from repro.sim.pool import (
 __all__ = ["CampaignResult", "run_campaign", "partition_universe",
            "partition_table"]
 
-#: Schedulers the sharded path understands.  ``"stealing"`` (default)
-#: lets a worker return the unfinished remainder of an oversized shard
-#: to the task queue; ``"static"`` executes the planned shards as cut.
-SCHEDULERS = ("stealing", "static")
-
-#: Wall-clock seconds a stealing worker spends on one shard before
-#: returning the remainder to the queue.  Small enough that a skewed
-#: tail redistributes within a fraction of a second; large enough that
-#: a shard amortizes its dispatch overhead many times over.
-STEAL_BUDGET_S = 0.1
-
-#: Serial-path chunk length (progress cadence) when ``chunk_size`` is
-#: left to the engine.
+#: Longest shard, in faults, and the serial-path chunk length (progress
+#: cadence) when ``chunk_size`` is left to the engine.
 SERIAL_CHUNK = 128
+
+#: Shards the sharded plan cuts per worker on a small universe, so a
+#: worker that drew slow faults does not hold the whole drain up.
+SHARDS_PER_WORKER = 4
 
 
 @dataclass
@@ -379,11 +365,10 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 # -- process sharding -------------------------------------------------------
 #
 # A shard is a self-describing task tuple executed by ``_run_task``
-# inside a pool worker (or a remote daemon -- the task format is the
-# wire format of :mod:`repro.sim.remote`).  ``token`` names the stream a
-# broadcast pinned in the worker.  Scalar shards are
+# inside a pool worker.  ``token`` names the stream a broadcast pinned
+# in the worker.  Scalar shards are
 #
-#     (mode, token, spec, lo, hi, faults, ram_factory, n, m, budget)
+#     (mode, token, spec, lo, hi, faults, ram_factory, n, m)
 #
 # where ``mode`` selects how the shard's faults are obtained:
 #
@@ -396,21 +381,18 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 # ``"list"``      an explicit pickled fault list (universes without a
 #                 spec -- hand-built lists, custom iterables).
 #
-# ``budget`` (seconds, or None) arms work stealing: a worker exceeding
-# it returns ``(done_so_far, remainder_task)`` and the scheduler
-# re-queues the remainder for an idle sibling.  Lane shards
-# (:mod:`repro.sim.batched` fans whole lane passes out the same flow)
-# are
+# Lane shards (:mod:`repro.sim.batched` fans whole lane passes out over
+# the same pool) are
 #
 #     ("lane"|"lane-list", token, spec, kind, lo, hi, faults, n, m)
 #
 # covering members ``[lo:hi]`` of the partition class ``kind``.
 # Every completed task yields one payload
 #
-#     (tag, lo, hi, data, remainder, elapsed_s)
+#     (tag, lo, hi, data)
 #
 # merged into position-keyed arrays, which is why verdicts are
-# byte-identical regardless of completion or steal order.
+# byte-identical regardless of completion order.
 
 
 @lru_cache(maxsize=8)
@@ -438,39 +420,21 @@ def _shard_faults(mode, spec, lo, hi, faults, n, m):
 
 
 def _run_scalar_task(task) -> tuple:
-    """Replay one scalar shard, honouring the work-stealing budget.
-
-    Returns the flow payload ``("scalar", lo, done, outcomes, remainder,
-    elapsed)``: with no budget (static scheduling) ``done == hi`` and
-    ``remainder`` is None; a budgeted shard that ran out of time covers
-    a prefix and hands the rest back as a ready-to-queue task.
-    """
-    mode, token, spec, lo, hi, faults, ram_factory, n, m, budget = task
+    """Replay one scalar shard: ``("scalar", lo, hi, outcomes)``."""
+    mode, token, spec, lo, hi, faults, ram_factory, n, m = task
     stream = worker_stream(token)
-    shard = _shard_faults(mode, spec, lo, hi, faults, n, m)
-    outcomes: list[tuple[bool, int]] = []
-    start = perf_counter()
-    for index, fault in enumerate(shard):
-        outcomes.append(_run_one(stream, fault, ram_factory, n, m))
-        if budget is not None and index + 1 < len(shard) \
-                and perf_counter() - start >= budget:
-            done = lo + index + 1
-            rest = list(shard[index + 1:]) if mode == "list" else None
-            remainder = (mode, token, spec, done, hi, rest,
-                         ram_factory, n, m, budget)
-            return ("scalar", lo, done, outcomes, remainder,
-                    perf_counter() - start)
-    return ("scalar", lo, hi, outcomes, None, perf_counter() - start)
+    return ("scalar", lo, hi,
+            [_run_one(stream, fault, ram_factory, n, m)
+             for fault in _shard_faults(mode, spec, lo, hi, faults, n, m)])
 
 
 def _run_lane_task(task) -> tuple:
     """Execute one lane pass (a chunk of one fault class) worker-side.
 
-    The pass is indivisible -- it replays the stream once over packed
-    columns -- so lane tasks never split; the parent sizes the chunks.
-    Returns ``("lane", lo, hi, (kind, detected_mask, executed), None,
-    elapsed)`` with lane ``i`` of the mask holding the verdict of class
-    member ``lo + i``.
+    The pass replays the stream once over packed columns; the parent
+    sizes the chunks.  Returns ``("lane", lo, hi, (kind, detected_mask,
+    executed))`` with lane ``i`` of the mask holding the verdict of
+    class member ``lo + i``.
     """
     # Late imports: batched.py imports this module, and under fork the
     # worker has everything loaded anyway.
@@ -479,7 +443,6 @@ def _run_lane_task(task) -> tuple:
 
     tag, token, spec, kind, lo, hi, faults, n, m = task
     stream = worker_stream(token)
-    start = perf_counter()
     if tag == "lane":
         classes, _fallback = _lane_members(spec, n, m)
         semantics = [sem for _index, sem in classes[kind][lo:hi]]
@@ -490,12 +453,11 @@ def _run_lane_task(task) -> tuple:
     model.install(packed)
     detected, executed = packed.apply_stream(stream.ops, tables=stream.tables,
                                              model=model)
-    return ("lane", lo, hi, (kind, detected, executed), None,
-            perf_counter() - start)
+    return ("lane", lo, hi, (kind, detected, executed))
 
 
 def _run_task(task) -> tuple:
-    """Pool/daemon unit of work: dispatch one shard task by its tag."""
+    """Pool unit of work: dispatch one shard task by its tag."""
     tag = task[0]
     if tag in ("slice", "fallback", "list"):
         return _run_scalar_task(task)
@@ -504,13 +466,33 @@ def _run_task(task) -> tuple:
     raise ValueError(f"unknown shard task tag {tag!r}")
 
 
-def _scalar_task(mode, token, spec, lo, hi, faults, ram_factory, n, m,
-                 budget) -> tuple:
+def _scalar_task(mode, token, spec, lo, hi, faults, ram_factory, n,
+                 m) -> tuple:
     """Build one scalar shard task for the ``[lo:hi)`` fault range."""
     if spec is None:
-        return ("list", token, None, lo, hi, faults[lo:hi],
-                ram_factory, n, m, budget)
-    return (mode, token, spec, lo, hi, None, ram_factory, n, m, budget)
+        return ("list", token, None, lo, hi, faults[lo:hi], ram_factory, n, m)
+    return (mode, token, spec, lo, hi, None, ram_factory, n, m)
+
+
+def _shard_plan(total: int, workers: int,
+                chunk_size: int | None = None) -> list[tuple[int, int]]:
+    """Cut ``total`` faults into contiguous ``(lo, hi)`` shard ranges.
+
+    ``chunk_size`` fixes the shard length; left to the engine it is
+    ``min(SERIAL_CHUNK, ceil(total / (SHARDS_PER_WORKER * workers)))``.
+    Contiguity is what lets a shard travel as a bare ``(spec, lo, hi)``
+    index range.
+
+    >>> _shard_plan(10, workers=4, chunk_size=4)
+    [(0, 4), (4, 8), (8, 10)]
+    >>> len(_shard_plan(256, workers=2)), _shard_plan(10_000, workers=2)[0]
+    (8, (0, 128))
+    """
+    if chunk_size is None:
+        shards = SHARDS_PER_WORKER * workers
+        chunk_size = max(1, min(SERIAL_CHUNK, -(-total // shards)))
+    return [(lo, min(lo + chunk_size, total))
+            for lo in range(0, total, chunk_size)]
 
 
 def _reference_pass(stream: OpStream, n: int, m: int) -> None:
@@ -543,24 +525,17 @@ def _reference_pass(stream: OpStream, n: int, m: int) -> None:
 
 
 def _check_chunk_size(chunk_size) -> int | None:
-    """Validate the ``chunk_size`` override (None = cost-model sizing)."""
+    """Validate the ``chunk_size`` override (None = the engine's plan)."""
     if chunk_size is None:
         return None
     if isinstance(chunk_size, bool) or not isinstance(chunk_size, int) \
             or chunk_size < 1:
         raise ValueError(
-            f"chunk_size must be None (shards sized by the per-class cost "
-            f"model) or a positive int (fixed shards of that many faults), "
-            f"got {chunk_size!r}"
+            f"chunk_size must be None (shards of at most {SERIAL_CHUNK} "
+            f"faults, a few per worker) or a positive int (fixed shards "
+            f"of that many faults), got {chunk_size!r}"
         )
     return chunk_size
-
-
-def _check_scheduler(scheduler: str) -> str:
-    if scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
-    return scheduler
 
 
 def run_campaign(stream: OpStream, universe: Iterable[Fault],
@@ -568,9 +543,7 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
                  workers: int = 0, chunk_size: int | None = None,
                  progress: Callable[[int, int], None] | None = None,
                  reference_check: bool = True,
-                 pool: WorkerPool | None = None,
-                 scheduler: str = "stealing",
-                 cost_model: CostModel | None = None) -> CampaignResult:
+                 pool: WorkerPool | None = None) -> CampaignResult:
     """Replay one compiled stream against every fault of a universe.
 
     Parameters
@@ -598,11 +571,9 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
         to in-process execution if the platform cannot spawn workers
         (sandboxes, missing /dev/shm).
     chunk_size:
-        ``None`` (default) sizes shards by the per-class
-        :class:`~repro.sim.costs.CostModel` -- roughly equal predicted
-        *work* per shard, so an NPSF-heavy tail is cut finer than a
-        stuck-at head.  A positive int forces the legacy fixed-size
-        shards (also the serial progress cadence).
+        ``None`` (default) cuts shards of at most ``SERIAL_CHUNK``
+        faults, a few per worker.  A positive int fixes the shard
+        length (also the serial progress cadence).
     progress:
         Optional ``progress(done, total)`` hook called after each chunk
         (the universe is materialized up front, so ``total`` is always
@@ -611,21 +582,10 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
         Validate the stream on a fault-free memory first (cached on the
         stream, so repeated campaigns pay it once).
     pool:
-        An explicit pool to shard on: a
-        :class:`~repro.sim.pool.WorkerPool` (e.g. one ``with
-        WorkerPool(4) as pool`` block around many campaigns) or a
-        :class:`~repro.sim.remote.RemotePool` of worker daemons on
-        other hosts.  Default: the process-wide shared pool for
+        An explicit :class:`~repro.sim.pool.WorkerPool` to shard on
+        (e.g. one ``with WorkerPool(4) as pool`` block around many
+        campaigns).  Default: the process-wide shared pool for
         ``workers``.
-    scheduler:
-        ``"stealing"`` (default): workers return the remainder of a
-        shard that exceeds its time budget to the shared queue, so a
-        mispredicted or skewed shard redistributes instead of idling
-        the siblings.  ``"static"``: run the planned shards as cut.
-        Verdicts are byte-identical either way.
-    cost_model:
-        Overrides the default :class:`~repro.sim.costs.CostModel` used
-        for shard planning.
 
     >>> from repro.faults import single_cell_universe
     >>> from repro.march.library import MARCH_C_MINUS
@@ -637,7 +597,6 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
     """
     n, m = stream.n, stream.m
     chunk_size = _check_chunk_size(chunk_size)
-    _check_scheduler(scheduler)
     if reference_check:
         _reference_pass(stream, n, m)
     progress = _monotonic_progress(progress)
@@ -646,11 +605,11 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
     faults = list(universe)
     outcomes: list[tuple[bool, int]] | None = None
     if (workers > 0 or pool is not None) and len(faults) > 1:
-        effective = workers or getattr(pool, "workers", 0)
+        effective = workers or pool.workers
         outcomes = _run_sharded(stream, faults,
-                                getattr(universe, "spec", None), "slice",
+                                getattr(universe, "spec", None),
                                 ram_factory, n, m, effective, pool,
-                                chunk_size, progress, scheduler, cost_model)
+                                chunk_size, progress)
         if outcomes is not None:
             result.workers_used = effective
     if outcomes is None:  # serial path, or process fan-out unavailable
@@ -676,43 +635,40 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
 POOL_FAILURES = (PoolUnavailable, OSError, PermissionError, ImportError)
 
 #: Seconds to wait for any single shard result.  A worker killed
-#: mid-shard (OOM, segfault) loses its task: the flow would block on it
-#: forever, so the drain polls with this timeout and declares the pool
-#: broken instead -- the campaign then re-runs serially.  Ordinary
-#: shards finish in well under a second (budgeted shards by
-#: construction); only a dead worker plausibly exceeds this.
+#: mid-shard (OOM, segfault) loses its task: the drain would block on it
+#: forever, so it polls with this timeout and declares the pool broken
+#: instead -- the campaign then re-runs serially.  Ordinary shards
+#: finish in well under a second; only a dead worker plausibly exceeds
+#: this.
 SHARD_TIMEOUT = 300.0
 
 
-def _drain_flow(flow, outstanding: int, expected: int, progress, done: int,
-                total: int, on_payload) -> int:
-    """Drain a task flow, re-queueing stolen remainders as they surface.
+def _drain_shards(results, expected: int, progress, done: int, total: int,
+                  on_payload) -> int:
+    """Merge shard payloads as they complete; returns the new ``done``.
 
-    ``on_payload(tag, lo, hi, data)`` merges one completed task into the
-    caller's position-keyed arrays and returns the number of faults it
-    covered; ``done``/``total`` let the batched engine account for lane
-    passes that already happened.  Raises :class:`PoolUnavailable` when
-    no result arrives within ``SHARD_TIMEOUT`` (a worker died with tasks
-    in flight), and ``RuntimeError`` when the workers covered a
-    different fault count than the parent expects (spec drift) --
-    silently-truncated verdicts must never merge.
+    ``results`` is the ``imap_unordered`` iterator over the campaign's
+    tasks.  ``on_payload(tag, lo, hi, data)`` merges one completed task
+    into the caller's position-keyed arrays and returns the number of
+    faults it covered; ``done``/``total`` let the batched engine account
+    for lane passes that already happened.  Raises
+    :class:`PoolUnavailable` when no result arrives within
+    ``SHARD_TIMEOUT`` (a worker died with tasks in flight), and
+    ``RuntimeError`` when the workers covered a different fault count
+    than the parent expects (spec drift) -- silently-truncated verdicts
+    must never merge.
     """
     covered = 0
-    while outstanding:
+    while True:
         try:
-            payload = flow.next(SHARD_TIMEOUT)
+            tag, lo, hi, data = results.next(SHARD_TIMEOUT)
         except StopIteration:
             break
         except multiprocessing.TimeoutError:
             raise PoolUnavailable(
-                f"no shard result within {SHARD_TIMEOUT:.0f}s with "
-                f"{outstanding} task(s) outstanding -- worker lost mid-task?"
+                f"no shard result within {SHARD_TIMEOUT:.0f}s -- worker "
+                f"lost mid-task?"
             ) from None
-        outstanding -= 1
-        tag, lo, hi, data, remainder, _elapsed = payload
-        if remainder is not None:
-            flow.put(remainder)
-            outstanding += 1
         step = on_payload(tag, lo, hi, data)
         covered += step
         done += step
@@ -747,22 +703,15 @@ def _monotonic_progress(progress):
     return hook
 
 
-def _run_sharded(stream, faults, spec, mode, ram_factory, n, m, workers,
-                 pool, chunk_size, progress, scheduler="stealing",
-                 cost_model=None) -> list[tuple[bool, int]] | None:
-    """Fan shards out over a task flow; ``None`` when unavailable.
+def _run_sharded(stream, faults, spec, ram_factory, n, m, workers, pool,
+                 chunk_size, progress) -> list[tuple[bool, int]] | None:
+    """Fan fixed shards out over the pool; ``None`` when unavailable.
 
-    The cost model cuts the plan, the flow schedules it (stolen
-    remainders re-queue through :func:`_drain_flow`), and completed
-    payloads merge into a position-keyed array -- identical verdicts to
-    the serial path regardless of which worker ran what.
+    Completed payloads merge into a position-keyed array -- identical
+    verdicts to the serial path regardless of which worker ran what.
     """
     if pool is None:
         pool = shared_pool(workers)
-    model = cost_model or DEFAULT_COST_MODEL
-    budget = STEAL_BUDGET_S if scheduler == "stealing" else None
-    plan = model.plan(faults, workers=getattr(pool, "workers", workers),
-                      chunk_size=chunk_size)
     outcomes: list = [None] * len(faults)
 
     def merge(tag, lo, hi, data):
@@ -771,15 +720,12 @@ def _run_sharded(stream, faults, spec, mode, ram_factory, n, m, workers,
 
     try:
         token = pool.broadcast_stream(stream)
-        flow = pool.flow(_run_task)
-        try:
-            for lo, hi in plan:
-                flow.put(_scalar_task(mode, token, spec, lo, hi, faults,
-                                      ram_factory, n, m, budget))
-            _drain_flow(flow, len(plan), len(faults), progress, 0,
-                        len(faults), merge)
-        finally:
-            flow.close()
+        tasks = [_scalar_task("slice", token, spec, lo, hi, faults,
+                              ram_factory, n, m)
+                 for lo, hi in _shard_plan(len(faults), pool.workers,
+                                           chunk_size)]
+        _drain_shards(pool.imap_unordered(_run_task, tasks), len(faults),
+                      progress, 0, len(faults), merge)
         return outcomes
     except POOL_FAILURES:
         # Could not start (sandbox) or lost a worker mid-run: a broken

@@ -22,12 +22,10 @@ therefore outlives individual campaigns:
   (a test recompiled per request, a stream unpickled from a job queue)
   -- and :meth:`WorkerPool.broadcast_stats` counts exactly how many
   distinct digests were shipped which way;
-* **task-queue scheduling** -- :meth:`WorkerPool.flow` opens a
-  :class:`TaskFlow`, a shared queue the parent feeds and the workers
-  drain: results surface in completion order, the parent may keep
-  queueing (re-queued remainders of shards that split on the fly are
-  how the campaign scheduler steals work), and one flow serves
-  heterogeneous task kinds;
+* **unordered drain** -- :meth:`WorkerPool.imap_unordered` queues a
+  campaign's whole task list at once, so workers start while the parent
+  does its own work (the batched engine's lane passes), and results
+  surface in completion order for a position-keyed merge;
 * **spec shards** -- combined with
   :class:`repro.faults.universe.UniverseSpec`, a unit of work is just
   ``(token, spec, index range)``: workers enumerate their faults locally
@@ -48,16 +46,13 @@ import atexit
 import contextlib
 import multiprocessing
 import pickle
-import queue
 import threading
-import weakref
 from collections.abc import Callable, Iterable, Iterator
 
 from repro.sim.ir import OpStream
 
 __all__ = [
     "PoolUnavailable",
-    "TaskFlow",
     "WorkerPool",
     "shared_pool",
     "shutdown_shared_pools",
@@ -160,51 +155,6 @@ def worker_stream(token: int) -> OpStream:
         ) from None
 
 
-# -- the task flow ----------------------------------------------------------
-
-#: Queue sentinel ending a flow's task feed (compared by identity).
-_FLOW_DONE = object()
-
-
-class TaskFlow:
-    """A dynamic task queue over a pool: feed tasks, drain completions.
-
-    ``Pool.imap`` wants the full task list up front, which forbids the
-    one thing a work-stealing scheduler needs: queueing *more* work (the
-    remainder of a shard that split itself mid-run) after results
-    started coming back.  A flow is ``imap_unordered`` over a live
-    queue instead -- :meth:`put` feeds tasks at any time, :meth:`next`
-    yields results in completion order, and :meth:`close` ends the feed.
-
-    Always close (the campaign drivers do so in a ``finally``): the
-    pool's task-feeder thread blocks on the queue until the sentinel
-    arrives.  :meth:`WorkerPool.close` closes every open flow for the
-    same reason.
-    """
-
-    def __init__(self, pool: "WorkerPool", fn: Callable):
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._closed = False
-        self._results = pool._ensure().imap_unordered(
-            fn, iter(self._queue.get, _FLOW_DONE))
-
-    def put(self, task) -> None:
-        """Queue one task (allowed while results are draining)."""
-        self._queue.put(task)
-
-    def next(self, timeout: float):
-        """The next completed result; raises
-        ``multiprocessing.TimeoutError`` when none arrives in time and
-        ``StopIteration`` once a closed flow has drained."""
-        return self._results.next(timeout)
-
-    def close(self) -> None:
-        """End the task feed (idempotent; queued tasks still complete)."""
-        if not self._closed:
-            self._closed = True
-            self._queue.put(_FLOW_DONE)
-
-
 class WorkerPool:
     """A lazily-started, reusable multiprocessing pool for campaigns.
 
@@ -249,7 +199,6 @@ class WorkerPool:
         self._broken = False
         self._tokens: dict[str, int] = {}  # stream.digest() -> token
         self._next_token = 0
-        self._flows: weakref.WeakSet = weakref.WeakSet()
         self._broadcasts = {"streams": 0, "shm": 0, "pickle": 0,
                             "dedup_hits": 0, "shm_bytes": 0}
 
@@ -308,9 +257,6 @@ class WorkerPool:
 
     def close(self) -> None:
         """Terminate the workers and drop the broadcast bookkeeping."""
-        for flow in list(self._flows):
-            flow.close()
-        self._flows.clear()
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.terminate()
@@ -405,11 +351,15 @@ class WorkerPool:
                 return ("shm", shm.name, len(blob)), shm
         return ("pickle", stream), None
 
-    def flow(self, fn: Callable) -> TaskFlow:
-        """Open a :class:`TaskFlow` running ``fn`` over queued tasks."""
-        flow = TaskFlow(self, fn)
-        self._flows.add(flow)
-        return flow
+    def imap_unordered(self, fn: Callable, tasks: Iterable) -> Iterator:
+        """Unordered lazy fan-out (thin wrapper over
+        ``Pool.imap_unordered``).
+
+        Results arrive in completion order; the iterator's
+        ``next(timeout)`` raises ``multiprocessing.TimeoutError`` when
+        none arrives in time, which is how a drain notices a lost worker.
+        """
+        return self._ensure().imap_unordered(fn, tasks)
 
     def imap(self, fn: Callable, tasks: Iterable) -> Iterator:
         """Ordered lazy fan-out (thin wrapper over ``Pool.imap``).

@@ -26,6 +26,7 @@ from repro.analysis import (
 )
 from repro.analysis.complexity import march_operations
 from repro.analysis.request import _TESTS, MAX_WORKERS, run_request
+from repro.faults import standard_universe
 from repro.faults.universe import UniverseSpec
 from repro.march.library import MARCH_C_MINUS, MATS_PLUS
 from repro.prt import extended_schedule, standard_schedule
@@ -64,6 +65,22 @@ class TestValidation:
         request = CampaignRequest(test="mats", n=8, workers=workers)
         with pytest.raises(RequestError, match="workers must be an int in"):
             run_request(request, cache=False)
+
+    @pytest.mark.parametrize("field, value", [("m", True), ("n", True),
+                                              ("n", 8.0)])
+    def test_geometry_types_are_checked_before_the_memo(self, field, value):
+        # True and 8.0 equal (and hash like) 1 and 8, so warm the
+        # resolver's memo with the int first.  A one-cell memory needs a
+        # universe of its own (the default one spans two cells).
+        spec = UniverseSpec.call("single_cell", n=1, m=1, classes=("SAF",),
+                                 retention=64)
+        base = CampaignRequest(test="mats", n=8,
+                               universe=spec if field == "n" and value == 1
+                               else None)
+        resolve_campaign(base.replace(**{field: int(value)}))
+        with pytest.raises(RequestError,
+                           match=f"{field} must be a positive int"):
+            resolve_campaign(base.replace(**{field: value}))
 
     def test_the_pool_guard_catches_a_pool(self, no_pools):
         # The guard above is only evidence if starting a pool trips it.
@@ -173,6 +190,31 @@ class TestResolution:
             assert len(resolved.cache_key) == 64
         assert calls == []
 
+    def test_field_is_shared_across_resolves(self, monkeypatch):
+        import repro.analysis.request as request_module
+
+        built = []
+        field_class = request_module.GF2m
+
+        def spy(modulus):
+            built.append(field_class(modulus))
+            return built[-1]
+
+        request_module._field.cache_clear()
+        monkeypatch.setattr(request_module, "GF2m", spy)
+        requests = [CampaignRequest(test="prt3", n=n, m=8) for n in (19, 22)]
+        reports = [run_request(request, cache=False) for request in requests]
+        assert len(built) == 1
+        assert request_module.build_field(8, None) is built[0]
+        # Same reports as a field built afresh for each campaign.
+        for request, report in zip(requests, reports):
+            schedule = standard_schedule(field=field_class(built[0].modulus),
+                                         n=request.n, verify=True)
+            legacy = run_coverage(schedule_runner(schedule),
+                                  standard_universe(request.n, 8),
+                                  request.n, m=8, test_name="prt3")
+            assert_reports_identical(legacy, report)
+
     def test_scheme_reports_use_display_labels(self):
         """Legacy CLI labeled scheme reports by display name."""
         assert resolve_campaign(
@@ -191,8 +233,6 @@ class TestResolution:
 
 @pytest.fixture(scope="module")
 def universe_256():
-    from repro.faults import standard_universe
-
     return standard_universe(256)
 
 

@@ -23,6 +23,7 @@ from repro.sim import (
     shared_pool,
 )
 from repro.sim import pool as pool_module
+from repro.sim.campaign import SERIAL_CHUNK, _drain_shards, _shard_plan
 
 
 def _broken_pool(workers=2):
@@ -32,6 +33,17 @@ def _broken_pool(workers=2):
 
 def _verdicts(result):
     return [detected for _, detected in result.outcomes]
+
+
+class _Results:
+    """Stands in for the ``imap_unordered`` iterator a drain reads."""
+
+    def __init__(self, payloads):
+        self._payloads = iter(payloads)
+
+    def next(self, timeout=None):
+        assert timeout is not None  # a bare next() would hang
+        return next(self._payloads)
 
 
 class ExoticKindFault(StuckAtFault):
@@ -215,23 +227,92 @@ class TestShardedRunCampaign:
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
     def test_lost_shard_result_raises_pool_unavailable(self):
-        # A worker killed mid-shard loses its task: the flow's next()
-        # would block forever, so the drain's timeout must surface
-        # PoolUnavailable (which callers turn into serial degradation).
+        # A worker killed mid-shard loses its task: the results
+        # iterator's next() would block forever, so the drain's timeout
+        # must surface PoolUnavailable (which callers turn into serial
+        # degradation).
         import multiprocessing
 
-        from repro.sim.campaign import _drain_flow
-
-        class LostFlow:
+        class LostResults:
             def next(self, timeout=None):
                 assert timeout is not None  # a bare next() would hang
                 raise multiprocessing.TimeoutError
 
-            def put(self, task):  # pragma: no cover - nothing re-queues
-                raise AssertionError("no remainders expected")
-
         with pytest.raises(PoolUnavailable, match="worker lost"):
-            _drain_flow(LostFlow(), 1, 5, None, 0, 5, lambda *a: 0)
+            _drain_shards(LostResults(), 5, None, 0, 5, lambda *a: 0)
+
+    def test_drain_merges_out_of_order_payloads_in_position(self):
+        # imap_unordered yields shards in completion order; every one
+        # must land in its own universe range, exactly once.
+        total = 37
+        payloads = [("scalar", lo, min(lo + 10, total),
+                     [(True, index) for index in range(lo, min(lo + 10,
+                                                               total))])
+                    for lo in range(0, total, 10)][::-1]
+        outcomes = [None] * total
+
+        def merge(tag, lo, hi, data):
+            assert tag == "scalar"
+            assert outcomes[lo:hi] == [None] * (hi - lo)  # no duplicates
+            outcomes[lo:hi] = data
+            return hi - lo
+
+        seen = []
+        done = _drain_shards(_Results(payloads), total,
+                             lambda d, t: seen.append(d), 0, total, merge)
+        assert done == total
+        assert outcomes == [(True, index) for index in range(total)]
+        assert seen == sorted(seen)  # progress is monotonic
+
+    def test_drain_rejects_short_coverage(self):
+        # A worker that silently covers fewer faults than expected must
+        # fail the campaign loudly, never merge truncated verdicts.
+        results = _Results([("scalar", 0, 1, [(True, 0)])])
+        with pytest.raises(RuntimeError, match="covered 1"):
+            _drain_shards(results, 5, None, 0, 5, lambda *a: 1)
+
+
+class TestShardPlan:
+    @staticmethod
+    def _tiles_exactly(plan, total):
+        if total == 0:
+            return plan == []
+        return plan[0][0] == 0 and plan[-1][1] == total \
+            and all(plan[i][1] == plan[i + 1][0]
+                    for i in range(len(plan) - 1)) \
+            and all(lo < hi for lo, hi in plan)
+
+    def test_plan_tiles_the_range_exactly(self):
+        for total in (0, 1, 2, 7, 100, 1000, 10_000):
+            for workers in (1, 2, 3, 16):
+                for chunk_size in (None, 1, 3, 128, 10_000):
+                    plan = _shard_plan(total, workers, chunk_size)
+                    assert self._tiles_exactly(plan, total), \
+                        (total, workers, chunk_size)
+
+    def test_plan_oversubscribes_the_workers(self):
+        # A small universe still gives every worker a few shards ...
+        plan = _shard_plan(256, workers=2)
+        assert len(plan) == 8
+        assert {hi - lo for lo, hi in plan} == {32}
+        # ... and a large one is cut into SERIAL_CHUNK-fault shards.
+        plan = _shard_plan(10_000, workers=2)
+        assert {hi - lo for lo, hi in plan[:-1]} == {SERIAL_CHUNK}
+        assert plan[-1] == (9984, 10_000)
+
+    def test_explicit_chunk_size_is_honoured(self):
+        assert _shard_plan(10, workers=4, chunk_size=4) == \
+            [(0, 4), (4, 8), (8, 10)]
+
+    def test_tiny_universe_never_yields_empty_shards(self):
+        assert _shard_plan(1, workers=16) == [(0, 1)]
+
+    def test_bad_chunk_size_names_both_modes(self):
+        stream = compile_march(MATS, 4)
+        for bad in (0, -3, 2.5, "128", True):
+            with pytest.raises(ValueError,
+                               match="None.*positive int"):
+                run_campaign(stream, [], chunk_size=bad)
 
 
 class TestShardedRunCampaignBatched:

@@ -377,19 +377,11 @@ class TestCheckBenchGlueRows:
 
 
 class TestCheckBenchSchedulerGates:
-    """The current-run-only parallel-scheduler gates."""
+    """The current-run-only process-sharding gate."""
 
     @staticmethod
     def _shared():
         return [{"test": "March C-", "n": 64, "compiled_s": 1.0}]
-
-    @staticmethod
-    def _balance_row(strategy, imbalance):
-        return {"test": "March C-", "n": 256,
-                "universe": f"skewed NPSF tail [{strategy}]",
-                "strategy": strategy, "faults": 2048, "shards": 8,
-                "max_shard_s": 0.1, "mean_shard_s": 0.05,
-                "imbalance": imbalance}
 
     @staticmethod
     def _lane_row(**overrides):
@@ -399,36 +391,6 @@ class TestCheckBenchSchedulerGates:
                "sharded_vs_serial": 2.0}
         row.update(overrides)
         return row
-
-    def test_stealing_losing_to_fixed_is_a_regression(self):
-        base = {"rows": self._shared()}
-        current = {"rows": self._shared(),
-                   "shard_balance_rows": [
-                       self._balance_row("fixed-128", 1.4),
-                       self._balance_row("cost-model", 1.2),
-                       self._balance_row("stealing", 1.4)]}
-        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
-        assert any("stealing imbalance" in r for r in regressions)
-
-    def test_stealing_beating_fixed_passes(self):
-        base = {"rows": self._shared()}
-        current = {"rows": self._shared(),
-                   "shard_balance_rows": [
-                       self._balance_row("fixed-128", 3.1),
-                       self._balance_row("stealing", 1.2)]}
-        lines, regressions = check_bench.compare(base, current, 3.0, 0.05)
-        assert not regressions
-        assert any("shard balance" in line and "ok" in line
-                   for line in lines)
-
-    def test_balance_shard_timings_diff_against_baseline(self):
-        # shard_balance_rows are also ordinary *_s rows for the
-        # slowdown diff, keyed by their strategy-qualified universe.
-        base = {"shard_balance_rows": [self._balance_row("fixed-128", 3.0)]}
-        current = {"shard_balance_rows": [
-            {**self._balance_row("fixed-128", 3.0), "max_shard_s": 0.9}]}
-        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
-        assert any("max_shard_s" in r for r in regressions)
 
     def test_lane_sharded_slowdown_gated_on_multicore(self):
         base = {"rows": self._shared()}
@@ -490,9 +452,9 @@ class TestLintContracts:
         assert self.lint.main([]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def _tree(self, tmp_path, batched="", pool="", remote="",
+    def _tree(self, tmp_path, batched="", pool="",
               campaign="def _fits_geometry(d, n, m, p):\n    return True\n",
-              fault="", request=CLEAN_RESOLVE):
+              fault="", request=CLEAN_RESOLVE, extra=None):
         src = tmp_path / "src" / "repro"
         (src / "sim").mkdir(parents=True)
         (src / "faults").mkdir()
@@ -501,9 +463,12 @@ class TestLintContracts:
         (src / "sim" / "batched.py").write_text(
             batched or "_MODELS = {}\n")
         (src / "sim" / "pool.py").write_text(pool)
-        (src / "sim" / "remote.py").write_text(remote)
         (src / "sim" / "campaign.py").write_text(campaign)
         (src / "faults" / "demo.py").write_text(fault)
+        for relative, text in (extra or {}).items():
+            path = src / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
         return str(tmp_path)
 
     def test_flags_private_attribute_access(self, tmp_path):
@@ -516,8 +481,8 @@ class TestLintContracts:
         root = self._tree(tmp_path, pool="f = lambda x: x\n")
         assert any("picklable-payloads" in f for f in self.lint.run(root))
 
-    def test_flags_nested_def_in_remote(self, tmp_path):
-        root = self._tree(tmp_path, remote=(
+    def test_flags_nested_def_in_pool(self, tmp_path):
+        root = self._tree(tmp_path, pool=(
             "def outer():\n    def inner():\n        pass\n    return inner\n"))
         assert any("picklable-payloads" in f for f in self.lint.run(root))
 
@@ -582,6 +547,27 @@ class TestLintContracts:
             CLEAN_RESOLVE
             + "def build_universe(spec):\n    return spec.build()\n"))
         assert self._resolve_findings(root) == []
+
+    @pytest.mark.parametrize("code", [
+        "import pickle\nobj = pickle.loads(blob)\n",
+        "import pickle as p\nobj = p.load(handle)\n",
+        "from pickle import Unpickler\n",
+    ])
+    def test_flags_unpickle_outside_allowed_modules(self, tmp_path, code):
+        root = self._tree(tmp_path, extra={"server/app.py": code})
+        findings = [f for f in self.lint.run(root)
+                    if "no-untrusted-unpickle" in f]
+        assert len(findings) == 1
+        assert "app.py" in findings[0]
+
+    def test_unpickle_allowed_in_pool_and_cache(self, tmp_path):
+        code = "import pickle\nobj = pickle.loads(blob)\n"
+        root = self._tree(tmp_path, pool=code,
+                          extra={"server/cache.py": code,
+                                 "server/schemas.py": "import pickle\n"
+                                 "blob = pickle.dumps(1)\n"})
+        assert not any("no-untrusted-unpickle" in f
+                       for f in self.lint.run(root))
 
     def test_missing_resolve_is_a_finding(self, tmp_path):
         root = self._tree(tmp_path, request="def resolve():\n    pass\n")

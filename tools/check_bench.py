@@ -46,19 +46,13 @@ started building faults again.
 request) have no gate of their own: their ``*_s`` timings are diffed
 against the baseline like every other section's.
 
-Two more current-run-only ratio gates guard the parallel scheduler:
-
-* ``shard_balance_rows``: for every ``(test, n)`` the work-stealing
-  plan's imbalance ratio (max/mean shard wall time) must be strictly
-  lower than the fixed ``chunk_size=128`` plan's -- the stealing
-  scheduler losing to dumb fixed shards on the skewed universe it was
-  built for is a regression regardless of absolute timings.
-* ``sharded_rows``: on a multi-core host (``cpus >= 2`` in the current
-  summary), every ``standard lane-sharded`` row big enough to engage
-  the pool (``faults >= 4096``, the lane-shard threshold) must show
-  ``sharded_vs_serial >= --min-sharded-speedup``.  Single-core hosts
-  (and quick-mode's sub-threshold rows) skip the gate -- there the row
-  measures pure dispatch overhead by design.
+One more current-run-only ratio gate guards process sharding: on a
+multi-core host (``cpus >= 2`` in the current summary), every
+``sharded_rows`` row of the ``standard lane-sharded`` universe big
+enough to engage the pool (``faults >= 4096``, the lane-shard
+threshold) must show ``sharded_vs_serial >= --min-sharded-speedup``.
+Single-core hosts (and quick-mode's sub-threshold rows) skip the gate
+-- there the row measures pure dispatch overhead by design.
 
 Usage::
 
@@ -76,7 +70,7 @@ import sys
 ROW_SECTIONS = ("rows", "single_cell_rows", "multiport_rows",
                 "wordlane_rows", "sharded_rows", "cache_rows",
                 "default_rows", "spec_lane_rows", "glue_rows",
-                "shard_balance_rows", "fallback_summary")
+                "fallback_summary")
 
 #: run_campaign_batched ships whole lane-pass chunks to the pool only
 #: past this many vectorizable faults (repro.sim.batched
@@ -116,31 +110,6 @@ def compare(baseline: dict, current: dict, max_slowdown: float,
     regressions: list[str] = []
     base_rows = _index_rows(baseline)
     cur_rows = _index_rows(current)
-    # Shard-balance gate: the stealing plan must beat fixed chunk_size=128
-    # on the skewed universe's imbalance ratio (max/mean shard wall time).
-    # A same-host, same-process ratio, so it gates the current run alone.
-    balance: dict[tuple, dict[str, float]] = {}
-    for row in current.get("shard_balance_rows", ()):
-        imbalance = row.get("imbalance")
-        if isinstance(imbalance, (int, float)):
-            balance.setdefault((row.get("test"), row.get("n")),
-                               {})[row.get("strategy")] = imbalance
-    for (test, n), plans in sorted(balance.items(), key=str):
-        fixed, stealing = plans.get("fixed-128"), plans.get("stealing")
-        if fixed is None or stealing is None:
-            continue
-        label = f"{test} n={n} [shard balance]"
-        verdict = "ok"
-        if stealing >= fixed:
-            verdict = "REGRESSION"
-            regressions.append(
-                f"{label}: stealing imbalance x{stealing:.2f} is not below "
-                f"fixed-128's x{fixed:.2f} (the stealing plan must beat "
-                f"fixed shards on the skewed universe)"
-            )
-        lines.append(f"{label:>40} {'imbalance':>14} "
-                     f"fixed x{fixed:.2f} vs stealing x{stealing:.2f} "
-                     f"{verdict}")
     # Lane-sharded speedup gate: multi-core hosts must show workers=N
     # beating the serial batched engine on rows that actually engage the
     # pool.  Ratio of two same-host timings, so current-run-only.

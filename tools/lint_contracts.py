@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-wide invariant lint: the cross-cutting contracts ruff can't see.
 
-Five AST rules, each guarding an implicit contract between subsystems
+Six AST rules, each guarding an implicit contract between subsystems
 that no single module's tests can enforce:
 
 1. **packed-surface** -- lane models in ``repro/sim/batched.py`` drive
@@ -13,11 +13,11 @@ that no single module's tests can enforce:
    attribute) would couple a lane model to the executor's storage
    layout, which the column helpers are free to change.
 
-2. **picklable-payloads** -- ``repro/sim/pool.py`` and ``remote.py``
-   build shard task tuples that cross process (and host) boundaries, so
-   the modules must not define lambdas, nested functions or local
-   classes: any of them leaking into a payload raises ``PicklingError``
-   only at runtime, on the worker, under load.
+2. **picklable-payloads** -- ``repro/sim/pool.py`` ships shard task
+   tuples across process boundaries, so the module must not define
+   lambdas, nested functions or local classes: any of them leaking into
+   a payload raises ``PicklingError`` only at runtime, on the worker,
+   under load.
 
 3. **hook-flags** -- every :class:`~repro.memory.packed.LaneFaultModel`
    subclass that overrides a flag-gated hook must set the gate:
@@ -41,6 +41,13 @@ that no single module's tests can enforce:
    ``build_universe`` or any ``*_universe`` generator.  Resolution runs
    on every request, cache hits included, and enumerating the default
    universe there costs more than the rest of resolution together.
+
+6. **no-untrusted-unpickle** -- unpickling runs arbitrary code, so
+   ``pickle.load``, ``pickle.loads`` and ``Unpickler`` appear only in
+   the modules that read bytes this process tree wrote itself:
+   ``repro/sim/pool.py`` (the parent's own shared-memory segment) and
+   ``repro/server/cache.py`` (the result cache's own files).  Any other
+   module that unpickles is a new trust boundary.
 
 Run standalone (exit 0 clean / 1 findings)::
 
@@ -330,23 +337,66 @@ def check_spec_only_resolve(path: str, root: str) -> list[str]:
     return findings
 
 
+# -- rule 6: no-untrusted-unpickle -------------------------------------------
+
+#: Modules (relative to ``src/repro``) allowed to unpickle.
+UNPICKLE_ALLOWED = (os.path.join("sim", "pool.py"),
+                    os.path.join("server", "cache.py"))
+
+#: The ``pickle`` names that turn bytes into objects.
+_UNPICKLE_NAMES = frozenset({"load", "loads", "Unpickler"})
+
+
+def check_no_untrusted_unpickle(path: str, root: str) -> list[str]:
+    """No ``pickle.load``/``loads``/``Unpickler``, however imported."""
+    rel = _relative(path, root)
+    tree = _parse(path)
+    modules = {"pickle", "_pickle"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name in ("pickle", "_pickle"))
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module in ("pickle", "_pickle"):
+            names = [alias.name for alias in node.names
+                     if alias.name in _UNPICKLE_NAMES]
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in _UNPICKLE_NAMES \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            findings.append(
+                f"{rel}:{node.lineno}: [no-untrusted-unpickle] pickle."
+                f"{name} outside {' and '.join(UNPICKLE_ALLOWED)} -- "
+                f"unpickling runs arbitrary code, so only bytes this "
+                f"process tree wrote may be unpickled"
+            )
+    return findings
+
+
 # -- driver ------------------------------------------------------------------
 
 
 def run(root: str = REPO) -> list[str]:
-    """All five rules over the repo at ``root``; returns the findings."""
+    """All six rules over the repo at ``root``; returns the findings."""
     src = os.path.join(root, "src", "repro")
     findings: list[str] = []
     findings += check_packed_surface(
         os.path.join(src, "sim", "batched.py"), root)
-    for module in ("pool.py", "remote.py"):
-        findings += check_picklable_payloads(
-            os.path.join(src, "sim", module), root)
+    findings += check_picklable_payloads(
+        os.path.join(src, "sim", "pool.py"), root)
     for dirpath, _dirnames, filenames in os.walk(src):
         for name in sorted(filenames):
             if name.endswith(".py"):
-                findings += check_hook_flags(
-                    os.path.join(dirpath, name), root)
+                path = os.path.join(dirpath, name)
+                findings += check_hook_flags(path, root)
+                if os.path.relpath(path, src) not in UNPICKLE_ALLOWED:
+                    findings += check_no_untrusted_unpickle(path, root)
     findings += check_kind_registry(root)
     findings += check_spec_only_resolve(
         os.path.join(src, "analysis", "request.py"), root)
