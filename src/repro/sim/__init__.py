@@ -48,10 +48,11 @@ subsystem splits that work into a *compile* phase and a *replay* phase:
 5. **Process sharding** (:mod:`repro.sim.pool`) -- both campaign
    engines accept ``workers=N``: a persistent :class:`WorkerPool` runs
    fixed contiguous shards of at most 128 faults (a few per worker on
-   small universes), and compiled streams broadcast once per host --
-   through one shared-memory segment when large.  Universes carrying a
-   :class:`~repro.faults.universe.UniverseSpec` travel as ``(spec,
-   index range)``; workers enumerate their faults locally.  The batched
+   small universes), and the compiled stream rides inside every shard
+   task, unpickled once per worker and content digest.  Universes
+   carrying a :class:`~repro.faults.universe.UniverseSpec` travel as
+   ``(spec, index range)``; workers enumerate their faults locally.
+   The batched
    engine overlaps its own lane passes with pooled shards.  Verdicts
    are byte-identical on every path, and environments that cannot fork
    degrade to single-process execution.

@@ -1012,7 +1012,7 @@ def _unpack_lanes(detected: int, members: list, verdicts: list) -> None:
 
 def _start_shards(stream, faults, fallback, shipped, spec, workers, pool,
                   chunk_size, max_lanes):
-    """Broadcast the stream and queue scalar + lane shards on the pool.
+    """Queue scalar + lane shards, each carrying the stream, on the pool.
 
     Scalar shards follow the fixed plan of
     :func:`~repro.sim.campaign.run_campaign`; lane chunks are cut so
@@ -1028,9 +1028,9 @@ def _start_shards(stream, faults, fallback, shipped, spec, workers, pool,
     scalar_faults = [faults[index] for index in fallback] \
         if spec is None else None
     try:
-        token = pool.broadcast_stream(stream)
-        tasks = [_scalar_task("fallback", token, spec, lo, hi, scalar_faults,
-                              None, n, m)
+        stream_pair = pool.stream_pair(stream)
+        tasks = [_scalar_task("fallback", stream_pair, spec, lo, hi,
+                              scalar_faults, None, n, m)
                  for lo, hi in _shard_plan(len(fallback), pool.workers,
                                            chunk_size)]
         for kind in sorted(shipped):
@@ -1041,12 +1041,12 @@ def _start_shards(stream, faults, fallback, shipped, spec, workers, pool,
             for base in range(0, len(members), width):
                 hi = min(base + width, len(members))
                 if spec is not None:
-                    tasks.append(("lane", token, spec, kind, base, hi, None,
-                                  n, m))
+                    tasks.append(("lane", stream_pair, spec, kind, base, hi,
+                                  None, n, m))
                 else:
                     chunk_faults = [faults[i] for i, _sem in members[base:hi]]
-                    tasks.append(("lane-list", token, None, kind, base, hi,
-                                  chunk_faults, n, m))
+                    tasks.append(("lane-list", stream_pair, None, kind, base,
+                                  hi, chunk_faults, n, m))
         return pool, pool.imap_unordered(_run_task, tasks)
     except POOL_FAILURES:
         pool.mark_broken()

@@ -19,11 +19,11 @@ instead:
   work for the ``workers=N`` process fan-out.
 
 The ``workers=N`` path shards over the persistent pools of
-:mod:`repro.sim.pool`: the compiled stream is broadcast once per host
-(shared memory for large streams, never per chunk), and a universe
-carrying a :class:`~repro.faults.universe.UniverseSpec` travels as
-``(spec, index range)`` shards that workers enumerate locally -- no
-fault pickling at all.  The plan cuts
+:mod:`repro.sim.pool`: the compiled stream is pickled once per campaign
+and rides inside every shard task (each worker unpickles a digest once),
+and a universe carrying a :class:`~repro.faults.universe.UniverseSpec`
+travels as ``(spec, index range)`` shards that workers enumerate
+locally -- no fault pickling at all.  The plan cuts
 ``min(SERIAL_CHUNK, ceil(total / (4 * workers)))`` faults per shard, so
 a small universe still gives every worker a few shards and a large one
 never queues shards longer than the serial cadence.  Completed shards
@@ -365,10 +365,11 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 # -- process sharding -------------------------------------------------------
 #
 # A shard is a self-describing task tuple executed by ``_run_task``
-# inside a pool worker.  ``token`` names the stream a broadcast pinned
-# in the worker.  Scalar shards are
+# inside a pool worker.  ``stream_pair`` is the campaign's
+# ``(digest, blob)`` (``WorkerPool.stream_pair``): every task carries
+# the stream.  Scalar shards are
 #
-#     (mode, token, spec, lo, hi, faults, ram_factory, n, m)
+#     (mode, stream_pair, spec, lo, hi, faults, ram_factory, n, m)
 #
 # where ``mode`` selects how the shard's faults are obtained:
 #
@@ -384,7 +385,7 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 # Lane shards (:mod:`repro.sim.batched` fans whole lane passes out over
 # the same pool) are
 #
-#     ("lane"|"lane-list", token, spec, kind, lo, hi, faults, n, m)
+#     ("lane"|"lane-list", stream_pair, spec, kind, lo, hi, faults, n, m)
 #
 # covering members ``[lo:hi]`` of the partition class ``kind``.
 # Every completed task yields one payload
@@ -421,8 +422,8 @@ def _shard_faults(mode, spec, lo, hi, faults, n, m):
 
 def _run_scalar_task(task) -> tuple:
     """Replay one scalar shard: ``("scalar", lo, hi, outcomes)``."""
-    mode, token, spec, lo, hi, faults, ram_factory, n, m = task
-    stream = worker_stream(token)
+    mode, stream_pair, spec, lo, hi, faults, ram_factory, n, m = task
+    stream = worker_stream(*stream_pair)
     return ("scalar", lo, hi,
             [_run_one(stream, fault, ram_factory, n, m)
              for fault in _shard_faults(mode, spec, lo, hi, faults, n, m)])
@@ -441,8 +442,8 @@ def _run_lane_task(task) -> tuple:
     from repro.memory.packed import PackedMemoryArray
     from repro.sim.batched import build_lane_model
 
-    tag, token, spec, kind, lo, hi, faults, n, m = task
-    stream = worker_stream(token)
+    tag, stream_pair, spec, kind, lo, hi, faults, n, m = task
+    stream = worker_stream(*stream_pair)
     if tag == "lane":
         classes, _fallback = _lane_members(spec, n, m)
         semantics = [sem for _index, sem in classes[kind][lo:hi]]
@@ -466,12 +467,13 @@ def _run_task(task) -> tuple:
     raise ValueError(f"unknown shard task tag {tag!r}")
 
 
-def _scalar_task(mode, token, spec, lo, hi, faults, ram_factory, n,
+def _scalar_task(mode, stream_pair, spec, lo, hi, faults, ram_factory, n,
                  m) -> tuple:
     """Build one scalar shard task for the ``[lo:hi)`` fault range."""
     if spec is None:
-        return ("list", token, None, lo, hi, faults[lo:hi], ram_factory, n, m)
-    return (mode, token, spec, lo, hi, None, ram_factory, n, m)
+        return ("list", stream_pair, None, lo, hi, faults[lo:hi],
+                ram_factory, n, m)
+    return (mode, stream_pair, spec, lo, hi, None, ram_factory, n, m)
 
 
 def _shard_plan(total: int, workers: int,
@@ -719,8 +721,8 @@ def _run_sharded(stream, faults, spec, ram_factory, n, m, workers, pool,
         return hi - lo
 
     try:
-        token = pool.broadcast_stream(stream)
-        tasks = [_scalar_task("slice", token, spec, lo, hi, faults,
+        stream_pair = pool.stream_pair(stream)
+        tasks = [_scalar_task("slice", stream_pair, spec, lo, hi, faults,
                               ram_factory, n, m)
                  for lo, hi in _shard_plan(len(faults), pool.workers,
                                            chunk_size)]

@@ -681,8 +681,8 @@ def cached_dual_port_stream(iteration, n: int, m: int = 1) -> OpStream:
     """Memoized :func:`compile_dual_port_pi` (keyed by iteration
     identity -- iterations are configured once and never mutated).
 
-    Object identity is what lets repeated campaigns over one scheme hit
-    the :class:`~repro.sim.pool.WorkerPool` broadcast cache too.
+    Object identity is what lets repeated campaigns over one scheme
+    reuse the stream's memoized digest and reference pass too.
     """
     return compile_dual_port_pi(iteration, n, m)
 

@@ -356,7 +356,7 @@ class OpStream:
         sequence against the identical geometry -- regardless of which
         process, Python run or compiler invocation produced them.  That
         stability is what makes streams *content-addressable*: the
-        :class:`~repro.sim.pool.WorkerPool` broadcast dedups recompiled
+        :class:`~repro.sim.pool.WorkerPool` workers cache recompiled
         streams by digest, and the campaign result cache of
         :mod:`repro.server.cache` keys requests on it.
 

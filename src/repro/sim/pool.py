@@ -9,31 +9,29 @@ therefore outlives individual campaigns:
 * **lazy start** -- the OS pool is created on first use, so merely
   threading ``workers=N`` through an API costs nothing until a campaign
   actually shards;
-* **stream broadcast** -- a compiled :class:`~repro.sim.ir.OpStream` is
-  shipped to this host exactly once and pinned in every worker under a
-  small integer token; every subsequent shard of every campaign
-  references the token, so the stream never rides the task queue again.
-  Large streams travel through one :mod:`multiprocessing.shared_memory`
-  segment (written once, attached by each worker) instead of being
-  re-pickled onto the task queue per worker; small streams and
-  environments without shared memory take the pickle path.  Broadcasts
-  dedup by :meth:`~repro.sim.ir.OpStream.digest` -- structurally
-  identical streams share one token even when they are distinct objects
-  (a test recompiled per request, a stream unpickled from a job queue)
-  -- and :meth:`WorkerPool.broadcast_stats` counts exactly how many
-  distinct digests were shipped which way;
+* **streams inside their tasks** -- a campaign pickles its compiled
+  :class:`~repro.sim.ir.OpStream` once (:meth:`WorkerPool.stream_pair`)
+  and every shard task carries the pair ``(digest, blob)``.  A worker
+  unpickles the blob the first time it meets the digest and keeps the
+  last ``STREAM_CACHE`` streams, so repeated campaigns over one content
+  -- the same object, or a structurally identical recompilation from
+  another request -- cost one unpickle per worker, and a worker that
+  :class:`multiprocessing.pool.Pool` respawned simply unpickles the blob
+  of its next task.  :meth:`WorkerPool.broadcast_stats` counts the
+  digests shipped and the campaigns that reused one;
 * **unordered drain** -- :meth:`WorkerPool.imap_unordered` queues a
   campaign's whole task list at once, so workers start while the parent
   does its own work (the batched engine's lane passes), and results
   surface in completion order for a position-keyed merge;
 * **spec shards** -- combined with
   :class:`repro.faults.universe.UniverseSpec`, a unit of work is just
-  ``(token, spec, index range)``: workers enumerate their faults locally
-  (cached per process) instead of unpickling fault lists per chunk;
+  ``((digest, blob), spec, index range)``: workers enumerate their
+  faults locally (cached per process) instead of unpickling fault lists
+  per chunk;
 * **graceful degradation** -- environments that cannot fork (sandboxes,
-  seccomp, missing /dev/shm) raise :class:`PoolUnavailable`, which the
-  campaign engines catch to fall back to single-process execution with
-  identical results.
+  seccomp, missing /dev/shm) raise :class:`PoolUnavailable`, which
+  the campaign engines catch to fall back to single-process execution
+  with identical results.
 
 The module-level :func:`shared_pool` registry gives the campaign engines
 one long-lived pool per worker count; :func:`shutdown_shared_pools` is
@@ -43,7 +41,6 @@ registered with :mod:`atexit`.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import multiprocessing
 import pickle
 import threading
@@ -58,15 +55,11 @@ __all__ = [
     "shutdown_shared_pools",
 ]
 
-#: Seconds a worker waits for its broadcast peers before declaring the
-#: pool broken.  Broadcasts happen before campaign shards are queued, so
-#: the barrier only ever waits on pool startup latency, never on work.
-BROADCAST_TIMEOUT = 60.0
-
-#: Streams whose pickle is at least this large broadcast through one
-#: shared-memory segment instead of riding the task queue once per
-#: worker.  Below it the copy is cheaper than the segment setup.
-SHM_MIN_BYTES = 1 << 16
+#: Streams a worker keeps unpickled, least recently used evicted first.
+#: A campaign ships one stream, so a few cover the tests a service or a
+#: ``compare`` run alternates between, and a worker's stream memory
+#: stays bounded however many distinct streams it serves.
+STREAM_CACHE = 4
 
 
 class PoolUnavailable(RuntimeError):
@@ -78,81 +71,27 @@ class PoolUnavailable(RuntimeError):
     """
 
 
-# -- worker-side state ------------------------------------------------------
-#
-# One pool worker serves many campaigns; these globals are its local
-# cache.  ``_init_worker`` runs once per worker process and *clears* the
-# stream cache: under fork the child inherits the parent module state,
-# and a parent that was itself once a worker (nested pools) must not
-# leak another pool's token namespace into this one.
-
-_WORKER_STREAMS: dict[int, OpStream] = {}
-_WORKER_BARRIER = None
+# One pool worker serves many campaigns; this is its stream cache,
+# keyed by content digest.  A forked worker inherits the parent's
+# entries, which is harmless: equal digests mean equal streams.
+_WORKER_STREAMS: dict[str, OpStream] = {}
 
 
-def _init_worker(barrier) -> None:
-    """Pool initializer: pin the broadcast barrier, reset the cache."""
-    global _WORKER_BARRIER
-    _WORKER_BARRIER = barrier
-    _WORKER_STREAMS.clear()
+def worker_stream(digest: str, blob: bytes) -> OpStream:
+    """The stream a shard task carries, unpickled once per worker.
 
-
-def _attach_shared_blob(name: str, size: int) -> bytes:
-    """Copy ``size`` bytes out of a named shared-memory segment."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        return bytes(shm.buf[:size])
-    finally:
-        shm.close()
-        # On CPython < 3.13 merely *attaching* registers the segment
-        # with this process's resource tracker, which would unlink it
-        # when the worker exits (bpo-39959).  The parent owns the
-        # segment's lifetime; this process must only detach.
-        with contextlib.suppress(Exception):
-            resource_tracker.unregister(shm._name, "shared_memory")
-
-
-def _load_stream(args: tuple) -> bool:
-    """Broadcast unit of work: cache one stream under its token.
-
-    ``payload`` is ``("pickle", stream)`` -- the stream rode the task
-    queue -- or ``("shm", name, size)`` -- unpickle it out of the named
-    shared-memory segment.  The barrier holds this worker until every
-    sibling has its copy -- with exactly one broadcast task per worker
-    on the queue, no worker can take a second task before all of them
-    have loaded the stream.
+    ``blob`` is the parent's own ``pickle.dumps`` of the stream whose
+    :meth:`~repro.sim.ir.OpStream.digest` is ``digest``
+    (:meth:`WorkerPool.stream_pair`); it is unpickled only when this
+    process holds no stream under that digest.
     """
-    token, payload = args
-    try:
-        stream = (pickle.loads(_attach_shared_blob(payload[1], payload[2]))
-                  if payload[0] == "shm" else payload[1])
-        _WORKER_STREAMS[token] = stream
-    except Exception:
-        # Attach failed (segment gone, /dev/shm policy): fail the
-        # broadcast cleanly so the parent can degrade.
-        with contextlib.suppress(threading.BrokenBarrierError):
-            _WORKER_BARRIER.wait(BROADCAST_TIMEOUT)
-        return False
-    try:
-        _WORKER_BARRIER.wait(BROADCAST_TIMEOUT)
-    except threading.BrokenBarrierError:
-        return False
-    return True
-
-
-def worker_stream(token: int) -> OpStream:
-    """The stream a broadcast pinned in this worker (shard-side lookup)."""
-    try:
-        return _WORKER_STREAMS[token]
-    except KeyError:
-        # A respawned worker (predecessor died) missed earlier
-        # broadcasts; surfacing PoolUnavailable lets the parent degrade.
-        raise PoolUnavailable(
-            f"worker holds no stream for token {token} "
-            "(worker respawned after a broadcast?)"
-        ) from None
+    stream = _WORKER_STREAMS.pop(digest, None)
+    if stream is None:
+        stream = pickle.loads(blob)
+        if len(_WORKER_STREAMS) >= STREAM_CACHE:
+            del _WORKER_STREAMS[next(iter(_WORKER_STREAMS))]
+    _WORKER_STREAMS[digest] = stream
+    return stream
 
 
 class WorkerPool:
@@ -166,13 +105,6 @@ class WorkerPool:
         Optional multiprocessing start-method name; defaults to
         ``"fork"`` where available (workers inherit the loaded library
         for free) with the platform default as fallback.
-    max_streams:
-        Broadcast streams are pinned in the parent and in every worker
-        for the pool's lifetime (that is what makes repeat campaigns
-        free).  A pool that has accumulated this many distinct streams
-        is *recycled* on the next new broadcast -- workers restart with
-        empty caches -- so a long-running service iterating over many
-        tests holds a bounded amount of stream memory.
 
     Use as a context manager for deterministic shutdown, or rely on the
     :func:`shared_pool` registry's atexit hook::
@@ -181,26 +113,23 @@ class WorkerPool:
             run_campaign(stream, universe, workers=4, pool=pool)
             run_campaign(stream2, universe2, workers=4, pool=pool)
 
-    The second campaign pays neither pool startup nor (for a repeated
-    stream) the broadcast.
+    The second campaign pays no pool startup, and a repeated stream no
+    unpickling in the workers.
     """
 
-    def __init__(self, workers: int, context: str | None = None,
-                 max_streams: int = 32):
+    def __init__(self, workers: int, context: str | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_streams < 1:
-            raise ValueError(f"max_streams must be >= 1, got {max_streams}")
         self.workers = workers
-        self.max_streams = max_streams
         self._context_name = context
         self._pool = None
-        self._barrier = None
         self._broken = False
-        self._tokens: dict[str, int] = {}  # stream.digest() -> token
-        self._next_token = 0
-        self._broadcasts = {"streams": 0, "shm": 0, "pickle": 0,
-                            "dedup_hits": 0, "shm_bytes": 0}
+        self._lock = threading.Lock()
+        # Digests of the last STREAM_CACHE streams shipped, the ones the
+        # workers may still hold.
+        self._recent: dict[str, None] = {}
+        self._streams = 0
+        self._dedup_hits = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -214,21 +143,17 @@ class WorkerPool:
         """True when the pool failed to start or broke mid-run."""
         return self._broken
 
-    @property
-    def streams_broadcast(self) -> int:
-        """Number of distinct streams pinned in the workers."""
-        return len(self._tokens)
-
     def broadcast_stats(self) -> dict:
-        """Transport counters for the broadcasts this pool performed.
+        """Stream transport counters of the campaigns this pool served.
 
-        ``streams`` counts distinct digests actually shipped to this
-        host (each at most once per pool generation), split into
-        ``shm``/``pickle`` by transport; ``dedup_hits`` counts
-        broadcasts satisfied by an already-pinned digest without any
-        shipping; ``shm_bytes`` totals the shared-memory payload.
+        ``streams`` counts digests shipped that were not among the last
+        ``STREAM_CACHE`` shipped, so workers had to unpickle them;
+        ``pickle`` equals it, because every stream travels pickled
+        inside its tasks, and ``shm`` is always 0.  ``dedup_hits``
+        counts campaigns whose stream the workers may already hold.
         """
-        return dict(self._broadcasts)
+        return {"streams": self._streams, "shm": 0, "pickle": self._streams,
+                "dedup_hits": self._dedup_hits}
 
     def _ensure(self):
         if self._broken:
@@ -242,10 +167,7 @@ class WorkerPool:
                         context = multiprocessing.get_context("fork")
                     except ValueError:  # platforms without fork
                         context = multiprocessing.get_context()
-                self._barrier = context.Barrier(self.workers)
-                self._pool = context.Pool(processes=self.workers,
-                                          initializer=_init_worker,
-                                          initargs=(self._barrier,))
+                self._pool = context.Pool(processes=self.workers)
             except (OSError, PermissionError, ImportError, ValueError) as exc:
                 # Restricted environments (no /dev/shm, seccomp'd fork):
                 # the caller degrades to single-process execution.
@@ -256,13 +178,13 @@ class WorkerPool:
         return self._pool
 
     def close(self) -> None:
-        """Terminate the workers and drop the broadcast bookkeeping."""
+        """Terminate the workers, and with them their stream caches."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.terminate()
             pool.join()
-        self._barrier = None
-        self._tokens.clear()
+        with self._lock:
+            self._recent.clear()
 
     def mark_broken(self) -> None:
         """Record a mid-run failure; the pool refuses further work."""
@@ -277,79 +199,24 @@ class WorkerPool:
 
     # -- work --------------------------------------------------------------
 
-    def broadcast_stream(self, stream: OpStream) -> int:
-        """Pin ``stream`` in every worker; returns its token.
+    def stream_pair(self, stream: OpStream) -> tuple[str, bytes]:
+        """``(digest, blob)`` for the shard tasks of one campaign.
 
-        Idempotent per stream *content*: broadcasts dedup on
-        :meth:`~repro.sim.ir.OpStream.digest`, so repeated campaigns
-        over the same compiled stream -- whether the literal object the
-        :mod:`repro.sim.compilers` ``cached_*`` adapters memoize, or a
-        structurally identical recompilation from another request --
-        ship to this host only once (:meth:`broadcast_stats` proves it).
-        Large streams travel via one shared-memory segment; small ones
-        and shm-less environments ride the task queue pickled.  Once
-        ``max_streams`` distinct streams have accumulated, the pool is
-        recycled first so stream memory stays bounded.
+        The blob is ``stream`` pickled once; workers key their cache on
+        the digest (:func:`worker_stream`), so equal-content streams
+        from distinct objects share one unpickle per worker.
         """
         digest = stream.digest()
-        token = self._tokens.get(digest)
-        if token is not None:
-            self._broadcasts["dedup_hits"] += 1
-            return token
-        if len(self._tokens) >= self.max_streams:
-            # Recycle: drop the workers (and with them every pinned
-            # stream) and start fresh ones lazily.  Amortized over the
-            # max_streams campaigns in between, the restart is noise.
-            self.close()
-        pool = self._ensure()
-        token = self._next_token
-        payload, shm = self._broadcast_payload(stream)
-        try:
-            # chunksize=1 puts one broadcast task per queue entry; each
-            # worker blocks in the barrier until all have loaded, so no
-            # worker can consume two.  The async get carries its own
-            # timeout: a worker killed mid-broadcast loses its task, and
-            # a bare map() would wait on it forever (the survivors'
-            # barrier breaks after BROADCAST_TIMEOUT, but the parent
-            # must not hang with them).
-            loaded = pool.map_async(
-                _load_stream, [(token, payload)] * self.workers, chunksize=1,
-            ).get(BROADCAST_TIMEOUT + 30.0)
-        except Exception as exc:
-            self.mark_broken()
-            raise PoolUnavailable(f"stream broadcast failed: {exc}") from exc
-        finally:
-            if shm is not None:
-                # Workers copied the blob out; the segment's job is done
-                # either way.
-                shm.close()
-                shm.unlink()
-        if not all(loaded):
-            self.mark_broken()
-            raise PoolUnavailable("stream broadcast barrier broke")
-        self._next_token += 1
-        self._tokens[digest] = token
-        self._broadcasts["streams"] += 1
-        self._broadcasts["shm" if payload[0] == "shm" else "pickle"] += 1
-        return token
-
-    def _broadcast_payload(self, stream: OpStream):
-        """``(payload, shm_segment_or_None)`` for one stream broadcast.
-
-        Prefers a single shared-memory segment for large streams; any
-        failure to create or fill one (sandboxes without /dev/shm,
-        size limits) falls back to the per-worker pickle payload.
-        """
-        with contextlib.suppress(Exception):
-            blob = pickle.dumps(stream, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(blob) >= SHM_MIN_BYTES:
-                from multiprocessing import shared_memory
-
-                shm = shared_memory.SharedMemory(create=True, size=len(blob))
-                shm.buf[:len(blob)] = blob
-                self._broadcasts["shm_bytes"] += len(blob)
-                return ("shm", shm.name, len(blob)), shm
-        return ("pickle", stream), None
+        with self._lock:
+            if digest in self._recent:
+                del self._recent[digest]  # re-inserted as the newest
+                self._dedup_hits += 1
+            else:
+                self._streams += 1
+                if len(self._recent) >= STREAM_CACHE:
+                    del self._recent[next(iter(self._recent))]
+            self._recent[digest] = None
+        return digest, pickle.dumps(stream, protocol=pickle.HIGHEST_PROTOCOL)
 
     def imap_unordered(self, fn: Callable, tasks: Iterable) -> Iterator:
         """Unordered lazy fan-out (thin wrapper over
@@ -361,19 +228,10 @@ class WorkerPool:
         """
         return self._ensure().imap_unordered(fn, tasks)
 
-    def imap(self, fn: Callable, tasks: Iterable) -> Iterator:
-        """Ordered lazy fan-out (thin wrapper over ``Pool.imap``).
-
-        Workers start consuming immediately; the parent is free to do
-        its own work before draining the result iterator.
-        """
-        return self._ensure().imap(fn, tasks)
-
     def __repr__(self) -> str:
         state = "broken" if self._broken else (
             "started" if self.started else "idle")
-        return (f"WorkerPool(workers={self.workers}, {state}, "
-                f"{self.streams_broadcast} streams broadcast)")
+        return f"WorkerPool(workers={self.workers}, {state})"
 
 
 # -- shared registry --------------------------------------------------------

@@ -1,7 +1,7 @@
 """OpStream.digest(): content addressing for compiled streams.
 
 The digest is the identity the whole serving layer hangs off --
-broadcast dedup in :class:`WorkerPool`, the
+the worker-side stream cache of :class:`WorkerPool`, the
 :meth:`CampaignRequest.cache_key` content address, and the on-disk
 result cache shared between processes.  These tests pin the exact hex
 value (any accidental change to the hashed representation invalidates
@@ -11,6 +11,7 @@ pickling, and a real process boundary.
 """
 
 import dataclasses
+import os
 import pickle
 
 import pytest
@@ -22,6 +23,7 @@ from repro.march.library import MARCH_C_MINUS, MATS
 from repro.prt import standard_schedule
 from repro.sim import WorkerPool, run_campaign
 from repro.sim.compilers import compile_march, compile_schedule
+from repro.sim.pool import worker_stream
 
 # Pinned content addresses.  If these change, every cache directory in
 # the wild is invalidated -- bump them only for deliberate changes to
@@ -37,6 +39,12 @@ MATS_8_CACHE_KEY = (
 def _digest_of_fresh_compile(_index):
     """Module-level so WorkerPool can pickle it (fork or spawn)."""
     return compile_march(MATS, 8).digest()
+
+
+def _cached_stream_identity(stream_pair):
+    """The worker's pid and the identity of the stream it holds for
+    ``stream_pair``'s digest."""
+    return os.getpid(), id(worker_stream(*stream_pair))
 
 
 class TestDigestIdentity:
@@ -81,12 +89,13 @@ class TestDigestAcrossProcesses:
     def test_worker_processes_agree(self):
         """Each worker compiles its own stream; all digests match ours."""
         with WorkerPool(2) as pool:
-            digests = set(pool.imap(_digest_of_fresh_compile, range(4)))
+            digests = set(pool.imap_unordered(_digest_of_fresh_compile,
+                                              range(4)))
         assert digests == {MATS_8_DIGEST}
 
     def test_broadcast_dedups_structurally_equal_streams(self):
-        """Two equal-content compiles share one broadcast token -- the
-        dedup keys on content, not object identity."""
+        """Two equal-content compiles are unpickled once per worker --
+        the worker cache keys on content, not object identity."""
         first = compile_march(MARCH_C_MINUS, 16)
         second = pickle.loads(pickle.dumps(first))  # equal, distinct object
         assert first is not second
@@ -94,10 +103,13 @@ class TestDigestAcrossProcesses:
         with WorkerPool(2) as pool:
             run_campaign(first, universe, workers=2, pool=pool)
             run_campaign(second, universe, workers=2, pool=pool)
-            assert pool.streams_broadcast == 1
-            token_a = pool.broadcast_stream(first)
-            token_b = pool.broadcast_stream(second)
-        assert token_a == token_b
+            assert pool.broadcast_stats()["streams"] == 1
+            assert pool.broadcast_stats()["dedup_hits"] == 1
+            pairs = [pool.stream_pair(first), pool.stream_pair(second)] * 8
+            held = set(pool.imap_unordered(_cached_stream_identity, pairs))
+        # One stream object per worker, whichever blob its tasks carried.
+        pids = {pid for pid, _ in held}
+        assert len(held) == len(pids)
 
 
 class TestCacheKeySemantics:

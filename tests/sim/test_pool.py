@@ -7,10 +7,15 @@ fault lists, and an environment that cannot spawn processes silently
 degrades to the serial path.
 """
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import march_runner, run_coverage
-from repro.faults import StuckAtFault, single_cell_universe, standard_universe
+from repro.faults import StuckAtFault, standard_universe
 from repro.faults.base import VectorSemantics
 from repro.faults.universe import FaultUniverse, UniverseSpec
 from repro.march.library import MARCH_C_MINUS, MATS
@@ -23,7 +28,33 @@ from repro.sim import (
     shared_pool,
 )
 from repro.sim import pool as pool_module
-from repro.sim.campaign import SERIAL_CHUNK, _drain_shards, _shard_plan
+from repro.sim.campaign import (
+    SERIAL_CHUNK,
+    _drain_shards,
+    _run_task,
+    _shard_plan,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
+
+# One campaign on a first pool, then one on a second pool started after
+# it, over a stream whose pickle is larger than 64 KiB.
+_TWO_POOLS = """
+from repro.faults import single_cell_universe
+from repro.march.library import MARCH_C_MINUS
+from repro.sim import WorkerPool, compile_march, run_campaign
+
+stream = compile_march(MARCH_C_MINUS, 520)
+universe = single_cell_universe(16, classes=("SAF",))
+serial = [d for _, d in run_campaign(stream, universe).outcomes]
+for _ in range(2):
+    with WorkerPool(2) as pool:
+        result = run_campaign(stream, universe, workers=2, pool=pool)
+    assert result.workers_used == 2
+    assert [d for _, d in result.outcomes] == serial
+print("verdicts equal serial")
+"""
 
 
 def _broken_pool(workers=2):
@@ -31,8 +62,28 @@ def _broken_pool(workers=2):
     return WorkerPool(workers, context="no-such-start-method")
 
 
+@pytest.fixture
+def worker_cache():
+    """This process's worker-side stream cache, empty before and after."""
+    pool_module._WORKER_STREAMS.clear()
+    yield pool_module._WORKER_STREAMS
+    pool_module._WORKER_STREAMS.clear()
+
+
 def _verdicts(result):
     return [detected for _, detected in result.outcomes]
+
+
+class _Recorded(Exception):
+    """Raised by :class:`_TaskRecorder` once it holds a campaign's tasks."""
+
+
+class _TaskRecorder(WorkerPool):
+    """Keeps the tasks a campaign queues instead of running them."""
+
+    def imap_unordered(self, fn, tasks):
+        self.tasks = list(tasks)
+        raise _Recorded
 
 
 class _Results:
@@ -76,84 +127,73 @@ class TestWorkerPool:
         with WorkerPool(2) as pool:
             run_campaign(stream, universe, workers=2, pool=pool)
             run_campaign(stream, universe, workers=2, pool=pool)
-            assert pool.streams_broadcast == 1
             run_campaign(other, universe, workers=2, pool=pool)
-            assert pool.streams_broadcast == 2
-            # The transport counters prove each distinct digest shipped
-            # to this host exactly once, whichever path it took.
-            stats = pool.broadcast_stats()
-            assert stats["streams"] == 2
-            assert stats["shm"] + stats["pickle"] == 2
-            assert stats["dedup_hits"] >= 1
+            # Each distinct digest shipped once; the repeat campaign
+            # reused the stream the workers already hold.
+            assert pool.broadcast_stats() == {
+                "streams": 2, "shm": 0, "pickle": 2, "dedup_hits": 1}
 
-    def test_large_stream_broadcasts_via_shared_memory(self):
-        # Far past SHM_MIN_BYTES: must ship through one shared-memory
-        # segment, not once per worker over the task queue.  (Skipped
-        # implicitly in environments without shared memory -- the
-        # fallback counter test below covers those.)
-        try:
-            from multiprocessing import shared_memory
-            probe = shared_memory.SharedMemory(create=True, size=16)
-            probe.close()
-            probe.unlink()
-        except Exception:
-            pytest.skip("no shared memory in this environment")
-        stream = compile_march(MARCH_C_MINUS, 512)
-        universe = single_cell_universe(16, classes=("SAF",))
-        serial = run_campaign(stream, universe)
-        with WorkerPool(2) as pool:
-            sharded = run_campaign(stream, universe, workers=2, pool=pool)
-            stats = pool.broadcast_stats()
-        assert stats["shm"] == 1
-        assert stats["pickle"] == 0
-        assert stats["shm_bytes"] >= pool_module.SHM_MIN_BYTES
-        assert _verdicts(sharded) == _verdicts(serial)
+    def test_streams_past_the_cache_ship_again(self):
+        streams = [compile_march(MATS, n)
+                   for n in range(8, 9 + pool_module.STREAM_CACHE)]
+        pool = WorkerPool(2)
+        for stream in streams + streams[:1]:
+            digest, blob = pool.stream_pair(stream)
+            assert digest == stream.digest()
+            assert pickle.loads(blob) == stream
+        # The first stream was evicted by the later ones, so workers
+        # would unpickle it again: it counts as shipped, not reused.
+        assert pool.broadcast_stats()["streams"] == len(streams) + 1
+        assert pool.broadcast_stats()["dedup_hits"] == 0
+        assert not pool.started
 
-    def test_shm_failure_falls_back_to_pickle(self, monkeypatch):
-        # Shared memory denied (sandbox): the broadcast must degrade to
-        # the per-worker pickle payload with identical results.
-        import multiprocessing.shared_memory as shm_module
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(shm_module.SharedMemory, "__init__", refuse)
-        stream = compile_march(MARCH_C_MINUS, 512)
-        universe = single_cell_universe(16, classes=("SAF",))
-        serial = run_campaign(stream, universe)
-        with WorkerPool(2) as pool:
-            sharded = run_campaign(stream, universe, workers=2, pool=pool)
-            stats = pool.broadcast_stats()
-        assert stats["pickle"] == 1
-        assert stats["shm"] == 0
-        assert sharded.workers_used == 2
-        assert _verdicts(sharded) == _verdicts(serial)
-
-    def test_max_streams_recycles_the_pool(self):
-        def saf_universe(n):
-            return single_cell_universe(n, classes=("SAF",))
-
-        with WorkerPool(2, max_streams=2) as pool:
-            for n in (8, 12):
-                run_campaign(compile_march(MARCH_C_MINUS, n),
-                             saf_universe(n), workers=2, pool=pool)
-            assert pool.streams_broadcast == 2
-            # A third distinct stream exceeds the cap: the pool recycles
-            # (bounded stream memory) and keeps working.
-            result = run_campaign(compile_march(MARCH_C_MINUS, 16),
-                                  saf_universe(16), workers=2, pool=pool)
-            assert pool.streams_broadcast == 1
-            assert not pool.broken
-            assert result.workers_used == 2
-            assert result.detection_ratio == 1.0
-        with pytest.raises(ValueError):
-            WorkerPool(2, max_streams=0)
+    def test_worker_cache_is_bounded_and_content_keyed(self, worker_cache):
+        streams = [compile_march(MATS, n)
+                   for n in range(8, 9 + pool_module.STREAM_CACHE)]
+        pool = WorkerPool(1)
+        pairs = [pool.stream_pair(stream) for stream in streams]
+        first = pool_module.worker_stream(*pairs[0])
+        assert first == streams[0]
+        assert pool_module.worker_stream(*pairs[0]) is first
+        for pair in pairs[1:]:
+            pool_module.worker_stream(*pair)
+        assert len(worker_cache) == pool_module.STREAM_CACHE
+        assert pairs[0][0] not in worker_cache
 
     def test_unavailable_pool_raises(self):
         pool = _broken_pool()
         with pytest.raises(PoolUnavailable):
-            pool.broadcast_stream(compile_march(MATS, 8))
+            pool.imap_unordered(abs, [-1])
         assert pool.broken
+        with pytest.raises(PoolUnavailable, match="broken"):
+            pool.imap_unordered(abs, [-1])
+
+    def test_second_pool_prints_no_tracker_errors(self):
+        # A fresh interpreter, so no earlier test has started a resource
+        # tracker; the second pool forks after the first campaign.
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run([sys.executable, "-c", _TWO_POOLS], env=env,
+                                capture_output=True, text=True, timeout=240)
+        assert result.returncode == 0, result.stderr
+        assert "verdicts equal serial" in result.stdout
+        assert "KeyError" not in result.stderr
+
+    def test_stream_less_worker_unpickles_its_task(self, worker_cache):
+        # A worker that Pool respawned holds no stream; the task it
+        # draws must still carry everything it needs.
+        stream = compile_march(MARCH_C_MINUS, 16)
+        universe = standard_universe(16)
+        pool = _TaskRecorder(2)
+        with pytest.raises(_Recorded):
+            run_campaign(stream, universe, workers=2, pool=pool)
+        pool.close()
+        worker_cache.clear()
+        outcomes = [None] * len(universe)
+        for task in pool.tasks:
+            tag, lo, hi, data = _run_task(task)
+            outcomes[lo:hi] = data
+        assert [detected for detected, _ in outcomes] == \
+            _verdicts(run_campaign(stream, universe))
 
     def test_shared_pool_reused_and_replaced_when_broken(self):
         first = shared_pool(2)

@@ -45,7 +45,7 @@ that no single module's tests can enforce:
 6. **no-untrusted-unpickle** -- unpickling runs arbitrary code, so
    ``pickle.load``, ``pickle.loads`` and ``Unpickler`` appear only in
    the modules that read bytes this process tree wrote itself:
-   ``repro/sim/pool.py`` (the parent's own shared-memory segment) and
+   ``repro/sim/pool.py`` (the parent's own task payload) and
    ``repro/server/cache.py`` (the result cache's own files).  Any other
    module that unpickles is a new trust boundary.
 
