@@ -104,6 +104,14 @@ name as the reference (the two name lists must be equal).  The section
 has no gate of its own; ``tools/check_bench.py`` diffs its timings
 against the baseline.
 
+An eleventh section (``lane_rows``) times the lane kernels of the same
+cold requests class by class: for March C-, PRT-3 and the dual-port
+schedule at n=512/m=1 and n=176/m=8, the wall clock of each lane
+class's passes (``pass_s``) and the records they execute.  The lane
+verdicts of a small evenly spaced sample of faults must equal the
+scalar ``run_campaign``'s before a number is emitted.  No gate of its
+own either; the timings are diffed against the baseline.
+
 Reports are cross-checked for equality on every path before a number is
 emitted.  Run as a script::
 
@@ -156,6 +164,7 @@ from repro.faults import (  # noqa: E402
 from repro.gf2 import primitive_polynomial  # noqa: E402
 from repro.gf2m import GF2m  # noqa: E402
 from repro.march.library import MARCH_C_MINUS  # noqa: E402
+from repro.memory import PackedMemoryArray  # noqa: E402
 from repro.prt import (  # noqa: E402
     DualPortPiIteration,
     QuadPortPiIteration,
@@ -164,6 +173,7 @@ from repro.prt import (  # noqa: E402
 )
 from repro.server.cache import ResultCache  # noqa: E402
 from repro.sim import (  # noqa: E402
+    build_lane_model,
     cached_dual_port_stream,
     cached_quad_port_stream,
     compile_march,
@@ -171,6 +181,7 @@ from repro.sim import (  # noqa: E402
     compile_schedule,
     partition_table,
     partition_universe,
+    run_campaign,
     run_campaign_batched,
     shutdown_shared_pools,
     verify,
@@ -824,6 +835,82 @@ def bench_glue(n: int, m: int) -> list[dict]:
     return rows
 
 
+LANE_REPEATS = 3
+LANE_CHECK_SAMPLE = 48  # faults checked against run_campaign per row
+LANE_WIDTH = 4096  # run_campaign_batched's default max_lanes
+
+
+def _lane_passes(stream, kind: str, members: list) -> tuple[int, int]:
+    """``(detected mask over members, records executed)`` of one class:
+    the lane passes ``run_campaign_batched`` runs for it, chunk by
+    chunk, with the chunk masks concatenated in member order."""
+    detected = executed = 0
+    for base in range(0, len(members), LANE_WIDTH):
+        chunk = members[base:base + LANE_WIDTH]
+        model = build_lane_model(kind, [sem for _, sem in chunk])
+        packed = PackedMemoryArray(stream.n, lanes=len(chunk), m=stream.m)
+        model.install(packed)
+        mask, records = packed.apply_stream(stream.ops, tables=stream.tables,
+                                            model=model)
+        detected |= mask << base
+        executed += records
+    return detected, executed
+
+
+def bench_lane_passes(n: int, m: int) -> list[dict]:
+    """Per-class lane-pass wall clock of one cold request's campaign.
+
+    Per test: the request's stream and universe, split into lane
+    classes as ``run_campaign_batched`` splits them, then every class's
+    lane passes timed on their own (best of a few runs) with the
+    records they execute.  Before any number is kept, the lane verdicts
+    of an evenly spaced sample of faults are checked against the scalar
+    ``run_campaign``.
+    """
+    rows = []
+    for name, selector in GLUE_TESTS:
+        request = CampaignRequest(test=selector, n=n, m=m, engine="batched")
+        resolved = resolve_campaign(request)
+        stream = resolved.compile()
+        universe = resolved.build_universe()
+        classes, fallback = partition_table(universe.descriptors, n, m)
+        if fallback:
+            raise AssertionError(
+                f"{name} n={n} m={m}: {len(fallback)} faults fell back")
+        verdicts = [False] * len(universe)
+        timed = []
+        for kind in sorted(classes):
+            members = classes[kind]
+            pass_s, (detected, executed) = _best_of(
+                LANE_REPEATS, lambda: _lane_passes(stream, kind, members))
+            bits = format(detected, f"0{len(members)}b")[::-1]
+            for (index, _sem), bit in zip(members, bits):
+                verdicts[index] = bit == "1"
+            timed.append((kind, len(members), executed, pass_s))
+        step = max(1, len(universe) // LANE_CHECK_SAMPLE)
+        sample = list(range(0, len(universe), step))[:LANE_CHECK_SAMPLE]
+        scalar = run_campaign(stream, [universe[i] for i in sample],
+                              reference_check=False)
+        if scalar.verdicts != [verdicts[i] for i in sample]:
+            raise AssertionError(
+                f"{name} n={n} m={m}: lane verdicts diverged from "
+                f"run_campaign")
+        for kind, faults, executed, pass_s in timed:
+            print(f"     lanes {name:>13} n={n:<4} m={m} {kind:>10} "
+                  f"faults={faults:<5} records={executed:<7} "
+                  f"{pass_s * 1e3:>8.2f}ms")
+            rows.append({
+                "test": name,
+                "n": n,
+                "m": m,
+                "universe": f"standard m={m} ({kind} lanes)",
+                "faults": faults,
+                "executed": executed,
+                "pass_s": round(pass_s, 5),
+            })
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=str, default=None,
@@ -905,6 +992,9 @@ def main(argv: list[str] | None = None) -> int:
     spec_lane_rows = [bench_spec_lanes(n, m)
                       for n, m in spec_lane_geometries]
     glue_rows = [row for n, m in glue_geometries for row in bench_glue(n, m)]
+    # The lane kernels of the glue rows' cold requests.
+    lane_rows = [row for n, m in glue_geometries
+                 for row in bench_lane_passes(n, m)]
     sharded_rows = []
     if args.workers > 0:
         for n in sharded_sizes:
@@ -964,6 +1054,7 @@ def main(argv: list[str] | None = None) -> int:
         "min_spec_lane_speedup": min(
             r["spec_vs_enumerate"] for r in spec_lane_rows),
         "glue_rows": glue_rows,
+        "lane_rows": lane_rows,
         "sharded_rows": sharded_rows,
     }
     if sharded_rows:

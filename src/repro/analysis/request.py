@@ -108,6 +108,13 @@ CACHE_KEY_VERSION = 2
 #: cpu count, so a request valid on one host is valid on every host.
 MAX_WORKERS = 32
 
+#: Upper bound of :attr:`CampaignRequest.n`.  A campaign's cost grows
+#: with n (universe size and stream length alike), so a request body must
+#: not pick it freely either.  Above every n the tests, docs and
+#: benchmarks use; not a full cost budget (m and the universe still
+#: scale it).
+MAX_CELLS = 1 << 16
+
 _MARCH_TESTS = {
     "mats": MATS,
     "mats+": MATS_PLUS,
@@ -207,7 +214,8 @@ class CampaignRequest:
         ``"dual-schedule"``/``"quad-schedule"`` (verifying multi-port
         schedules).
     n, m:
-        Memory geometry (cells x bits per cell).
+        Memory geometry (cells x bits per cell); ``n`` is at most
+        :data:`MAX_CELLS`.
     universe:
         Optional :class:`~repro.faults.universe.UniverseSpec`; ``None``
         selects ``standard_universe_spec(n, m)``, which needs
@@ -446,6 +454,9 @@ def resolve_campaign(request: CampaignRequest) -> ResolvedCampaign:
         if not _is_int(value) or value < 1:
             raise RequestError(
                 f"{name} must be a positive int, got {value!r}")
+    if request.n > MAX_CELLS:
+        raise RequestError(
+            f"n must be at most {MAX_CELLS}, got {request.n!r}")
     workers = request.workers
     if not _is_int(workers) or not 0 <= workers <= MAX_WORKERS:
         raise RequestError(

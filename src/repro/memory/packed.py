@@ -18,9 +18,11 @@ the stream:
 * pi-test accumulator ops (``"ra"``/``"wa"``) keep one m-bit accumulator
   *column per accumulator id*, so data corrupted by a fault propagates
   through the pseudo-ring exactly as it would in that lane's dedicated
-  replay.  GF(2^m) constant multiplication is linear over GF(2), so a
-  precompiled lookup table lowers to a per-plane shift/XOR plan -- a
-  handful of column operations per record, not per lane.
+  replay.  GF(2^m) constant multiplication is linear over GF(2), so an
+  ``"ra"`` only adds its raw diff to a per-table sum, and the ``"wa"``
+  that consumes the accumulator applies each table once: a precompiled
+  lookup table lowers to a diagonal shift/XOR plan of at most ``2m - 1``
+  column operations per flush, not per read and not per lane.
 
 Every column is one plain Python int: arbitrary precision, no
 dependencies.  CPython's bignum bitwise ops are word-packed C loops with
@@ -34,10 +36,11 @@ executor calls ``transform_write`` / ``after_write`` / ``settle`` with
 int columns, and a model implements e.g. stuck-at-1 on bit *b* as
 ``new | sa1_mask[addr]`` with the mask positioned in plane *b* -- one
 column OR applies the fault to hundreds of lanes at once.  Models
-position and combine their masks through the column/row helper surface
+position and combine their masks through the public column/row surface
 (:meth:`PackedMemoryArray.spread`,
-:meth:`~PackedMemoryArray.match_lanes`, the ``*_lanes`` mutators, ...)
-instead of touching the storage directly.  Models are built from
+:meth:`~PackedMemoryArray.match_lanes`, the ``*_lanes`` helpers, and
+the :attr:`~PackedMemoryArray.words` list a hot hook assigns once),
+never through private attributes.  Models are built from
 :meth:`repro.faults.base.Fault.vector_semantics` descriptors by
 :mod:`repro.sim.batched`, which also owns universe partitioning and the
 per-fault fallback.
@@ -296,19 +299,11 @@ class PackedMemoryArray:
         """Set ``column``'s bits at ``addr``."""
         self.words[addr] |= column
 
-    def andnot_lanes(self, addr: int, column: int) -> None:
-        """Clear ``column``'s bits at ``addr``."""
-        self.words[addr] &= ~column
-
-    def xor_lanes(self, addr: int, column: int) -> None:
-        """Toggle ``column``'s bits at ``addr``."""
-        self.words[addr] ^= column
-
     def blend_lanes(self, addr: int, select: int, value_column: int) -> None:
         """Replace the ``select``-masked bits at ``addr`` with
         ``value_column``'s (the column analogue of a bit-select mux)."""
-        self.words[addr] = (self.words[addr] & ~select) \
-            | (value_column & select)
+        column = self.words[addr]
+        self.words[addr] = column ^ ((column ^ value_column) & select)
 
     def lane_value(self, addr: int, lane: int) -> int:
         """The m-bit value cell ``addr`` holds in copy ``lane``."""
@@ -350,11 +345,15 @@ class PackedMemoryArray:
         column *per accumulator id* (the record's sixth slot, exactly
         like the scalar executors' per-id dicts), so recurrence write
         data is recomputed from each lane's actual (possibly corrupted)
-        reads -- the scalar replay semantics, lane-parallel.  GF(2^m)
-        constant multipliers lower each ``OpStream.tables`` entry to a
-        per-plane shift/XOR plan once per pass (multiplication by a
-        constant is GF(2)-linear), so a multiply costs a handful of
-        column ops per record.  ``"i"`` idles execute no operation but
+        reads -- the scalar replay semantics, lane-parallel.
+        Multiplication by a constant is GF(2)-linear, so the multiplies
+        are deferred: an ``"ra"`` XORs its diff into a raw sum per
+        (accumulator id, table), multiplier-1 reads straight into the
+        accumulator, and the ``"wa"`` that consumes the accumulator
+        applies each table once, through a diagonal plan lowered once
+        per pass (:meth:`_lower_table`) -- at most ``2m - 1`` column ops
+        per table per flush.  A ``"wa"`` still sees its accumulator as
+        of the start of its cycle.  ``"i"`` idles execute no operation but
         advance the model clock (retention decay) and fire the model's
         ``settle`` hook, mirroring the scalar engines.
 
@@ -410,9 +409,23 @@ class PackedMemoryArray:
         words = self.words
         ones = self._ones
         executed = 0
-        accs: dict[int, int] = {}
+        accs: dict[int, int] = {}  # acc id -> multiplier-1 sum
+        raws: dict[int, dict[int, int]] = {}  # acc id -> table -> raw sum
         columns: dict[int, int] = {}  # m-bit value -> broadcast column
-        plans: dict[int, list] = {}  # table index -> shift/XOR plan
+        plans: dict[int, list] = {}  # table index -> diagonal plan
+
+        def flush(acc_id):
+            # Empty accumulator ``acc_id``: its multiplier-1 sum XOR each
+            # table applied once to the raw sum of the reads it scales.
+            acc = accs.pop(acc_id, 0)
+            for table, raw in raws.pop(acc_id).items():
+                if raw:
+                    plan = plans.get(table)
+                    if plan is None:
+                        plan = plans[table] = self._lower_table(tables[table])
+                    acc ^= _apply_plan(plan, raw)
+            return acc
+
         broadcast = self.broadcast
         # At m == 1 a column is already its lane mask: skipping the fold
         # call keeps bit-oriented passes as fast as a dedicated loop.
@@ -430,8 +443,6 @@ class PackedMemoryArray:
         end = len(ops)
         while index < end:
             kind, _port, addr, value, expected, idle = ops[index]
-            if kind not in ("w", "wa", "r", "s", "ra", "i", "grp"):
-                raise ValueError(f"unknown op kind {kind!r}")
             if clock is not None:
                 clock(cycle)
             if kind == "w" or kind == "wa":
@@ -439,8 +450,7 @@ class PackedMemoryArray:
                 if new is None:
                     new = columns[value] = broadcast(value)
                 if kind == "wa":
-                    new ^= accs.get(idle, 0)
-                    accs[idle] = 0
+                    new ^= flush(idle) if idle in raws else accs.pop(idle, 0)
                 old = words[addr]
                 new = transform_write(addr, old, new)
                 words[addr] = new
@@ -474,18 +484,12 @@ class PackedMemoryArray:
                 if diff:
                     if value is None:  # multiplier 1: add the raw diff
                         accs[idle] = accs.get(idle, 0) ^ diff
-                    else:
-                        plan = plans.get(value)
-                        if plan is None:
-                            plan = plans[value] = \
-                                self._lower_table(tables[value])
-                        acc = accs.get(idle, 0)
-                        for src_shift, dst_shifts in plan:
-                            plane = (diff >> src_shift) & ones
-                            if plane:
-                                for dst_shift in dst_shifts:
-                                    acc ^= plane << dst_shift
-                        accs[idle] = acc
+                    else:  # defer the multiply to the flush
+                        sums = raws.get(idle)
+                        if sums is None:
+                            raws[idle] = {value: diff}
+                        else:
+                            sums[value] = sums.get(value, 0) ^ diff
             elif kind == "i":
                 cycle += idle
             elif kind == "grp":
@@ -516,8 +520,8 @@ class PackedMemoryArray:
                         stored = columns[rec[3]] = broadcast(rec[3])
                     if rkind == "wa":
                         acc_id = rec[5]
-                        stored ^= accs.get(acc_id, 0)
-                        accs[acc_id] = 0
+                        stored ^= flush(acc_id) if acc_id in raws \
+                            else accs.pop(acc_id, 0)
                     if pending is None:
                         pending = []
                     pending.append((rec[2], stored))
@@ -539,20 +543,15 @@ class PackedMemoryArray:
                     diff = observed ^ expect
                     if rkind == "ra":
                         if diff:
+                            acc_id = rec[5]
                             if rec[3] is None:
-                                accs[rec[5]] = accs.get(rec[5], 0) ^ diff
+                                accs[acc_id] = accs.get(acc_id, 0) ^ diff
                             else:
-                                plan = plans.get(rec[3])
-                                if plan is None:
-                                    plan = plans[rec[3]] = \
-                                        self._lower_table(tables[rec[3]])
-                                acc = accs.get(rec[5], 0)
-                                for src_shift, dst_shifts in plan:
-                                    plane = (diff >> src_shift) & ones
-                                    if plane:
-                                        for dst_shift in dst_shifts:
-                                            acc ^= plane << dst_shift
-                                accs[rec[5]] = acc
+                                sums = raws.get(acc_id)
+                                if sums is None:
+                                    raws[acc_id] = {rec[3]: diff}
+                                else:
+                                    sums[rec[3]] = sums.get(rec[3], 0) ^ diff
                         continue
                     if rkind == "s" and captured is not None:
                         captured.append(observed)
@@ -574,30 +573,48 @@ class PackedMemoryArray:
                     return detected, executed
                 index = stop
                 continue
+            else:
+                raise ValueError(f"unknown op kind {kind!r}")
             if settle is not None:
                 settle(self)
             index += 1
         return detected, executed
 
-    def _lower_table(self, table) -> list[tuple[int, list[int]]]:
-        """Per-plane shift/XOR plan of one constant-multiplier table.
+    def _lower_table(self, table) -> list[tuple[int, int]]:
+        """Diagonal plan of one constant-multiplier table.
 
         GF(2^m) multiplication by a constant is linear over GF(2), so
         ``table[x]`` is the XOR over the set bits *i* of ``x`` of the
-        basis images ``table[1 << i]``.  The plan lists, for every input
-        plane *i* that contributes at all, the output-plane shifts its
-        lanes XOR into -- applying a multiplier to a whole column is
-        then at most m x m big-int ops, independent of the lane count.
+        basis images ``table[1 << i]``: input plane *src* feeds output
+        plane *dst* wherever bit *dst* of ``table[1 << src]`` is set.
+        The plan groups those plane pairs by their offset ``dst - src``
+        into one ``(select, shift)`` pair per offset -- the input planes
+        that move by it, and the signed column shift that moves them --
+        so :func:`_apply_plan` costs at most ``2m - 1`` AND/shift/XOR
+        triples per multiply, independent of the lane count.
         """
         lanes = self._lanes
-        plan: list[tuple[int, list[int]]] = []
+        ones = self._ones
+        selects: dict[int, int] = {}
         for src in range(self._m):
-            column = table[1 << src]
-            dst_shifts = [dst * lanes for dst in range(self._m)
-                          if (column >> dst) & 1]
-            if dst_shifts:
-                plan.append((src * lanes, dst_shifts))
-        return plan
+            image = table[1 << src]
+            for dst in range(self._m):
+                if (image >> dst) & 1:
+                    selects[dst - src] = selects.get(dst - src, 0) \
+                        | (ones << (src * lanes))
+        return [(select, offset * lanes)
+                for offset, select in selects.items()]
+
+
+def _apply_plan(plan, column: int) -> int:
+    """Multiply every lane of ``column`` by the constant ``plan`` lowers
+    (see :meth:`PackedMemoryArray._lower_table`)."""
+    product = 0
+    for select, shift in plan:
+        part = column & select
+        if part:
+            product ^= part << shift if shift >= 0 else part >> -shift
+    return product
 
 
 _NO_FAULTS = LaneFaultModel()

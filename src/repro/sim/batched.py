@@ -36,7 +36,8 @@ mask operation positioned in the faulty bit's plane:
 A checked read XORs the packed word with the broadcast expectation; every
 lane with a non-zero bit in any plane is a detection.  π-test recurrences
 stay exact through per-lane accumulator columns, with GF(2^m) constant
-multipliers lowered to per-plane shift/XOR plans (see
+multipliers deferred to the accumulator flush and applied as diagonal
+shift/XOR plans (see
 :meth:`~repro.memory.packed.PackedMemoryArray.apply_stream`), so this is
 not an approximation: each lane computes bit-for-bit what its dedicated
 scalar replay would.
@@ -138,12 +139,16 @@ class _TransitionLanes(LaneFaultModel):
             target[sem.cell] = target.get(sem.cell, 0) | bit
 
     def transform_write(self, addr: int, old, new):
+        # Narrow masks first, and ``x ^ (x & y)`` for ``x & ~y``: a
+        # full-width ``~`` would cost more than the rest of the hook.
         mask = self._up.get(addr)
         if mask is not None:
-            new = new & ~(~old & new & mask)  # blocked rise: bit stays 0
+            rising = new & mask
+            new ^= rising ^ (rising & old)  # blocked rise: bit stays 0
         mask = self._down.get(addr)
         if mask is not None:
-            new = new | (old & ~new & mask)  # blocked fall: bit stays 1
+            falling = old & mask
+            new |= falling ^ (falling & new)  # blocked fall: bit stays 1
         return new
 
 
@@ -184,15 +189,13 @@ def _fire_coupling(memory, entries, rise, fall):
                         else (rise >> -shift, fall >> -shift))
         else:
             up, down = rise, fall
-        invert = (up & r_inv) | (down & f_inv)
-        set_ = (up & r_set) | (down & f_set)
-        clear = (up & r_clr) | (down & f_clr)
-        if invert:  # CFin
-            memory.xor_lanes(victim, invert)
-        if set_:  # CFid -> 1
-            memory.or_lanes(victim, set_)
-        if clear:  # CFid -> 0
-            memory.andnot_lanes(victim, clear)
+        invert = (up & r_inv) | (down & f_inv)  # CFin
+        set_ = (up & r_set) | (down & f_set)  # CFid -> 1
+        clear = (up & r_clr) | (down & f_clr)  # CFid -> 0
+        if invert or set_ or clear:
+            # ``(x | clear) ^ clear`` clears without a full-width ``~``.
+            words = memory.words
+            words[victim] = ((words[victim] ^ invert) | set_ | clear) ^ clear
 
 
 class _CouplingLanes(LaneFaultModel):
@@ -213,8 +216,11 @@ class _CouplingLanes(LaneFaultModel):
         entries = self._by_aggressor.get(addr)
         if entries is None:
             return
-        # rise: lanes whose aggressor bit went 0 -> 1; fall: the dual.
-        _fire_coupling(memory, entries, ~old & committed, old & ~committed)
+        changed = old ^ committed
+        if changed:
+            # rise: lanes whose aggressor bit went 0 -> 1; fall: the dual.
+            _fire_coupling(memory, entries, changed & committed,
+                           changed & old)
 
 
 class _LinkedLanes(LaneFaultModel):
@@ -242,14 +248,17 @@ class _LinkedLanes(LaneFaultModel):
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
+        changed = old ^ committed
+        if not changed:
+            return
         rise = fall = None
         for step in self._steps:
             entries = step.get(addr)
             if entries is None:
                 continue
             if rise is None:  # shared edge masks, computed on first use
-                rise = ~old & committed
-                fall = old & ~committed
+                rise = changed & committed
+                fall = changed & old
             _fire_coupling(memory, entries, rise, fall)
 
 
@@ -338,12 +347,13 @@ class _StateCouplingLanes(LaneFaultModel):
             masks = merged.get(key)
             if masks is None:
                 masks = merged[key] = [0, 0, 0, 0]
-            bit = 1 << (sem.victim_bit * stride + lane)
-            masks[0 if sem.rising else 1] |= bit
-            masks[2 if sem.value else 3] |= bit
+            masks[0 if sem.rising else 1] |= 1 << (sem.bit * stride + lane)
+            masks[2 if sem.value else 3] |= \
+                1 << (sem.victim_bit * stride + lane)
         #: (aggr_cell, victim_cell, shift, state1, state0, force1,
-        #:  force0) per coupled pair: the masks sit in the victim plane
-        #: and ``shift`` moves the aggressor plane onto it.
+        #:  force0) per coupled pair: the state masks sit in the
+        #: aggressor plane, the force masks in the victim plane, and
+        #: ``shift`` moves the held lanes from the one to the other.
         self._entries = [
             (a_cell, v_cell, (v_bit - a_bit) * stride, *masks)
             for (a_cell, a_bit, v_cell, v_bit), masks in merged.items()
@@ -356,21 +366,21 @@ class _StateCouplingLanes(LaneFaultModel):
                 self._by_cell.setdefault(entry[1], []).append(entry)
 
     def _enforce(self, memory: PackedMemoryArray, entries) -> None:
+        words = memory.words
         for a_cell, v_cell, shift, s1, s0, f1, f0 in entries:
-            aggressor = memory.read_lanes(a_cell)
-            if shift:
-                aggressor = aggressor << shift if shift > 0 \
-                    else aggressor >> -shift
-            # Lanes whose aggressor bit equals their coupling state.
-            held = (aggressor & s1) | (s0 & ~aggressor)
+            aggressor = words[a_cell]
+            # Lanes whose aggressor bit equals their coupling state,
+            # found in the aggressor plane (no full-width ``~``) and only
+            # then moved to the victim plane.
+            held = (aggressor & s1) | (s0 ^ (aggressor & s0))
             if not held:
                 continue
+            if shift:
+                held = held << shift if shift > 0 else held >> -shift
             force1 = held & f1
-            if force1:
-                memory.or_lanes(v_cell, force1)
             force0 = held & f0
-            if force0:
-                memory.andnot_lanes(v_cell, force0)
+            if force1 or force0:
+                words[v_cell] = (words[v_cell] | force1 | force0) ^ force0
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:

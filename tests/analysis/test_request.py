@@ -25,7 +25,12 @@ from repro.analysis import (
     schedule_runner,
 )
 from repro.analysis.complexity import march_operations
-from repro.analysis.request import _TESTS, MAX_WORKERS, run_request
+from repro.analysis.request import (
+    _TESTS,
+    MAX_CELLS,
+    MAX_WORKERS,
+    run_request,
+)
 from repro.faults import standard_universe
 from repro.faults.universe import UniverseSpec
 from repro.march.library import MARCH_C_MINUS, MATS_PLUS
@@ -65,6 +70,13 @@ class TestValidation:
         request = CampaignRequest(test="mats", n=8, workers=workers)
         with pytest.raises(RequestError, match="workers must be an int in"):
             run_request(request, cache=False)
+
+    def test_memory_size_is_bounded(self):
+        resolve_campaign(CampaignRequest(test="mats", n=MAX_CELLS))
+        for n in (MAX_CELLS + 1, 10**9):
+            with pytest.raises(RequestError,
+                               match=f"n must be at most {MAX_CELLS}"):
+                resolve_campaign(CampaignRequest(test="march-c", n=n))
 
     @pytest.mark.parametrize("field, value", [("m", True), ("n", True),
                                               ("n", 8.0)])

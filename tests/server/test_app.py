@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.request import MAX_WORKERS, CampaignRequest
+from repro.analysis.request import MAX_CELLS, MAX_WORKERS, CampaignRequest
 from repro.server import JobManager, ResultCache, TestClient, create_app
 from repro.server.http import serve
 
@@ -121,6 +121,12 @@ class TestCoverageEndpoint:
                                {"test": "mats", "n": 8, "workers": workers})
         assert response.status == 400
         assert "workers must be an int in" in response.json()["error"]
+
+    def test_memory_size_past_the_cap_is_400(self, client):
+        response = client.post("/coverage",
+                               {"test": "march-c", "n": MAX_CELLS + 1})
+        assert response.status == 400
+        assert f"n must be at most {MAX_CELLS}" in response.json()["error"]
 
     def test_boolean_worker_count_is_400(self, client, no_pools):
         response = client.post("/coverage",

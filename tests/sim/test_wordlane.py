@@ -29,6 +29,7 @@ from repro.gf2 import primitive_polynomial
 from repro.gf2m import GF2m
 from repro.march.library import MARCH_C_MINUS, MATS, MATS_PLUS_RETENTION
 from repro.memory import PackedMemoryArray, SinglePortRAM
+from repro.memory.packed import _apply_plan
 from repro.prt import standard_schedule
 from repro.sim import (
     build_lane_model,
@@ -92,21 +93,16 @@ class TestWordLanePackedArray:
         assert executed == stream.operation_count
 
     def test_lowered_tables_match_field_arithmetic(self):
-        # The shift/XOR plan of every table of a mixed-multiplier stream
-        # must agree with the table lookup for every operand value.
+        # The diagonal plan of every table of a mixed-multiplier stream,
+        # applied through the executor's own helper, must agree with the
+        # table lookup for every operand value.
         stream = compile_schedule(_word_schedule(15, 4), 15, m=4)
         assert stream.tables, "schedule streams carry multiplier tables"
         packed = PackedMemoryArray(15, lanes=3, m=4)
         for table in stream.tables:
             plan = packed._lower_table(table)
             for operand in range(1 << 4):
-                column = packed.broadcast(operand)
-                result = 0
-                for src_shift, dst_shifts in plan:
-                    plane = (column >> src_shift) & packed.ones
-                    if plane:
-                        for dst_shift in dst_shifts:
-                            result ^= plane << dst_shift
+                result = _apply_plan(plan, packed.broadcast(operand))
                 assert result == packed.broadcast(table[operand]), \
                     f"operand {operand} through {table}"
 

@@ -207,6 +207,14 @@ class TestCoverageCommand:
         assert err.startswith("error: workers must be an int in [0, 32]")
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_memory_size_past_the_cap_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coverage", "--test", "march-c", "--n", "1000000000"])
+        assert excinfo.value.code == 2  # resolver validation
+        err = capsys.readouterr().err
+        assert err.startswith("error: n must be at most 65536")
+        assert err.count("\n") == 1  # one line, no traceback
+
 
 class TestCompareOverhead:
     def test_compare(self, capsys):

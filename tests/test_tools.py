@@ -376,6 +376,42 @@ class TestCheckBenchGlueRows:
         assert any("glue" in line for line in lines)
 
 
+class TestCheckBenchLaneRows:
+    """Per-class lane-pass timings are diffed against the baseline."""
+
+    @staticmethod
+    def _lane_row(**overrides):
+        row = {"test": "PRT-3", "n": 176, "m": 8,
+               "universe": "standard m=8 (state lanes)", "faults": 3864,
+               "executed": 1958, "pass_s": 0.1}
+        row.update(overrides)
+        return row
+
+    def test_slower_lane_pass_is_a_regression(self):
+        base = {"lane_rows": [self._lane_row()]}
+        current = {"lane_rows": [self._lane_row(pass_s=0.5)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert any("pass_s" in r and "state lanes" in r
+                   for r in regressions)
+
+    def test_matching_lane_pass_passes(self):
+        base = {"lane_rows": [self._lane_row()]}
+        current = {"lane_rows": [self._lane_row(pass_s=0.12)]}
+        lines, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert not regressions
+        assert any("state lanes" in line for line in lines)
+
+    def test_classes_do_not_cross_match(self):
+        # Two classes of one (test, n) are distinct rows.
+        base = {"lane_rows": [self._lane_row()]}
+        current = {"lane_rows": [self._lane_row(
+            universe="standard m=8 (coupling lanes)", pass_s=0.5)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert regressions == [
+            "no comparable rows between baseline and current summaries "
+            "(did the benchmark's row identities change?)"]
+
+
 class TestCheckBenchSchedulerGates:
     """The current-run-only process-sharding gate."""
 

@@ -43,8 +43,9 @@ or above ``MIN_SPEC_SPEEDUP`` on rows of at least
 started building faults again.
 
 ``glue_rows`` (compile, error-only verify and miss naming of one cold
-request) have no gate of their own: their ``*_s`` timings are diffed
-against the baseline like every other section's.
+request) and ``lane_rows`` (one lane class's passes of one cold request)
+have no gate of their own: their ``*_s`` timings are diffed against the
+baseline like every other section's.
 
 One more current-run-only ratio gate guards process sharding: on a
 multi-core host (``cpus >= 2`` in the current summary), every
@@ -70,7 +71,7 @@ import sys
 ROW_SECTIONS = ("rows", "single_cell_rows", "multiport_rows",
                 "wordlane_rows", "sharded_rows", "cache_rows",
                 "default_rows", "spec_lane_rows", "glue_rows",
-                "fallback_summary")
+                "lane_rows", "fallback_summary")
 
 #: run_campaign_batched ships whole lane-pass chunks to the pool only
 #: past this many vectorizable faults (repro.sim.batched
