@@ -186,6 +186,7 @@ from repro.sim import (  # noqa: E402
     shutdown_shared_pools,
     verify,
 )
+from repro.sim.batched import MAX_LANES  # noqa: E402
 
 SIZES = (64, 256, 1024)
 SAMPLE = {64: None, 256: 400, 1024: 200}  # None = full universe
@@ -837,7 +838,6 @@ def bench_glue(n: int, m: int) -> list[dict]:
 
 LANE_REPEATS = 3
 LANE_CHECK_SAMPLE = 48  # faults checked against run_campaign per row
-LANE_WIDTH = 4096  # run_campaign_batched's default max_lanes
 
 
 def _lane_passes(stream, kind: str, members: list) -> tuple[int, int]:
@@ -845,8 +845,8 @@ def _lane_passes(stream, kind: str, members: list) -> tuple[int, int]:
     the lane passes ``run_campaign_batched`` runs for it, chunk by
     chunk, with the chunk masks concatenated in member order."""
     detected = executed = 0
-    for base in range(0, len(members), LANE_WIDTH):
-        chunk = members[base:base + LANE_WIDTH]
+    for base in range(0, len(members), MAX_LANES):
+        chunk = members[base:base + MAX_LANES]
         model = build_lane_model(kind, [sem for _, sem in chunk])
         packed = PackedMemoryArray(stream.n, lanes=len(chunk), m=stream.m)
         model.install(packed)

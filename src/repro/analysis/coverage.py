@@ -145,7 +145,7 @@ class CompilableRunner:
         self._compiler = compiler
         #: Ports the wrapped test needs per memory cycle (1 =
         #: single-port).  ``run_coverage`` uses it to build the right
-        #: default front-end for the interpreted per-fault loop; the
+        #: front-end for the interpreted per-fault loop; the
         #: compiled engines read the same number off the stream itself.
         self.ports = ports
         #: Smallest memory the wrapped test runs on (a π-test needs more
@@ -164,7 +164,6 @@ class CompilableRunner:
 def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
                  n: int | None = None,
                  m: int = 1, test_name: str = "test",
-                 ram_factory: Callable[[], object] | None = None,
                  workers: int = 0,
                  engine: str = "auto",
                  pool: WorkerPool | None = None,
@@ -186,13 +185,10 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
     request already carries them.  The legacy kwarg form below keeps
     working byte-identically.
 
-    ``ram_factory`` overrides the default ``SinglePortRAM(n, m)`` (pass a
-    multi-port factory to evaluate the port schemes).  The factory's
-    geometry must match ``(n, m)`` -- the universe is generated for it --
-    and every engine rejects a mismatch with ``ValueError``.  Runners
-    carrying a ``ports`` attribute > 1 (the :func:`dual_port_runner` /
-    :func:`quad_port_runner` adapters) get a perfect
-    ``MultiPortRAM(n, m, ports)`` by default instead, on every engine.
+    Every fault is injected into a fresh ``SinglePortRAM(n, m)``, or a
+    perfect ``MultiPortRAM(n, m, ports)`` for runners carrying a
+    ``ports`` attribute > 1 (the :func:`dual_port_runner` /
+    :func:`quad_port_runner` adapters), on every engine.
 
     When the runner is compilable (the :func:`march_runner` /
     :func:`schedule_runner` / :func:`iteration_runner` adapters are), the
@@ -203,14 +199,13 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
     ``"interpreted"`` otherwise), ``"batched"`` (require a compilable
     runner and resolve vectorizable fault classes lane-parallel via
     :func:`repro.sim.batched.run_campaign_batched`, on bit- and
-    word-oriented geometries alike; custom faults and a custom
-    ``ram_factory`` take its scalar path), ``"compiled"`` (require a
+    word-oriented geometries alike; custom faults take its scalar
+    path), ``"compiled"`` (require a
     compilable runner and replay every fault on its own via
     :func:`repro.sim.campaign.run_campaign`), or ``"interpreted"``
     (force the legacy per-fault loop).  Every engine returns the same
     report.  ``workers > 0`` fans the campaign out over that many
-    processes (requires a picklable ``ram_factory``) on the persistent
-    shared pool of :mod:`repro.sim.pool` -- or on ``pool``, an explicit
+    processes on the persistent shared pool of :mod:`repro.sim.pool` -- or on ``pool``, an explicit
     :class:`~repro.sim.pool.WorkerPool` to reuse across many campaigns.
     On the batched engine the pool takes the scalar remainder, plus
     lane-pass chunks past ``LANE_SHARD_MIN_FAULTS`` vectorizable
@@ -252,13 +247,10 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
     report = CoverageReport(test_name=test_name)
     if engine != "interpreted" and compile_fn is not None:
         stream = compile_fn(n, m)
-        campaign = (run_campaign_batched(
-            stream, universe, ram_factory=ram_factory,
-            workers=workers, pool=pool, progress=progress)
-            if engine != "compiled"
-            else run_campaign(stream, universe, ram_factory=ram_factory,
-                              workers=workers, pool=pool,
-                              progress=progress))
+        engine_fn = run_campaign if engine == "compiled" \
+            else run_campaign_batched
+        campaign = engine_fn(stream, universe, workers=workers, pool=pool,
+                             progress=progress)
         # report.record in bulk: classes tally from the per-index tags
         # and missed faults are named by index.  A spec'd universe reads
         # both from its descriptor table (FaultUniverse.name_of), so a
@@ -277,20 +269,8 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
     ports = getattr(runner, "ports", 1)
     faults = list(universe)
     for done, fault in enumerate(faults, start=1):
-        if ram_factory is not None:
-            ram = ram_factory()
-        elif ports > 1:
-            ram = MultiPortRAM(n, m=m, ports=ports)
-        else:
-            ram = SinglePortRAM(n, m=m)
-        if ram.n != n or ram.m != m:
-            # Same guard the campaign engine applies: a universe generated
-            # for (n, m) injected into a different geometry gives garbage
-            # coverage numbers, and the two engines must agree on it.
-            raise ValueError(
-                f"ram_factory built a {ram.n}x{ram.m}-bit RAM but the "
-                f"campaign is for n={n}, m={m}"
-            )
+        ram = MultiPortRAM(n, m=m, ports=ports) if ports > 1 \
+            else SinglePortRAM(n, m=m)
         injector = FaultInjector([fault])
         injector.install(ram)
         detected = runner(ram)
@@ -355,8 +335,7 @@ def dual_port_runner(iteration) -> CompilableRunner:
     .DualPortPiIteration` (the paper's Figure 2 scheme).
 
     Needs a >= 2-port memory: ``run_coverage`` builds a perfect
-    ``MultiPortRAM(n, m, ports=2)`` by default, or pass e.g.
-    ``ram_factory=functools.partial(DualPortRAM, n)``.  Compilable, so
+    ``MultiPortRAM(n, m, ports=2)`` for every fault.  Compilable, so
     the campaign engines replay the scheme through the cycle-grouped
     fast path in the paper's 2n cycles; injected-conflict handling as in
     :func:`_port_scheme_runner`.
@@ -371,9 +350,9 @@ def multi_schedule_runner(schedule) -> CompilableRunner:
     Same contract as :func:`schedule_runner` plus the multi-port rule of
     :func:`_port_scheme_runner`: a :class:`~repro.memory.multiport
     .PortConflictError` raised mid-run counts as a detection.  The
-    default front-end is a perfect ``MultiPortRAM(n, m,
-    schedule.ports)``; the compiled engines replay the whole schedule as
-    one cycle-grouped stream.
+    front-end is a perfect ``MultiPortRAM(n, m, schedule.ports)``; the
+    compiled engines replay the whole schedule as one cycle-grouped
+    stream.
     """
 
     def runner(ram) -> bool:
@@ -392,7 +371,7 @@ def quad_port_runner(iteration) -> CompilableRunner:
     """Runner adapter for a :class:`~repro.prt.dual_port
     .QuadPortPiIteration` (the "QuadPort DSE family": two concurrent
     automata, n-cycle pass).  Same contract as
-    :func:`dual_port_runner`, with a 4-port default front-end."""
+    :func:`dual_port_runner`, with a 4-port front-end."""
     return _port_scheme_runner(iteration, cached_quad_port_stream, 4)
 
 

@@ -115,6 +115,11 @@ MAX_WORKERS = 32
 #: scale it).
 MAX_CELLS = 1 << 16
 
+#: Upper bound of :attr:`CampaignRequest.m`, the largest field the
+#: library tabulates (``GF(2^16)``).  Resolving a port scheme compiles
+#: it, and that cost grows steeply with m past this bound.
+MAX_WORD_BITS = 16
+
 _MARCH_TESTS = {
     "mats": MATS,
     "mats+": MATS_PLUS,
@@ -215,7 +220,7 @@ class CampaignRequest:
         schedules).
     n, m:
         Memory geometry (cells x bits per cell); ``n`` is at most
-        :data:`MAX_CELLS`.
+        :data:`MAX_CELLS` and ``m`` at most :data:`MAX_WORD_BITS`.
     universe:
         Optional :class:`~repro.faults.universe.UniverseSpec`; ``None``
         selects ``standard_universe_spec(n, m)``, which needs
@@ -230,8 +235,9 @@ class CampaignRequest:
         Drop transparent verification from the PRT schedules (the
         paper-exact signature-only mode; ignored for March tests).
     poly:
-        Field modulus as text (e.g. ``"1+z+z^4"``); default is the
-        tabulated primitive polynomial for ``m``.
+        Field modulus as text (e.g. ``"1+z+z^4"``), of degree ``m``;
+        default is the tabulated primitive polynomial for ``m``.  March
+        tests use no field and ignore it.
 
     >>> CampaignRequest(test="prt3", n=28) == CampaignRequest(test="prt3", n=28)
     True
@@ -352,6 +358,11 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
         raise RequestError(f"bad field polynomial "
                            f"{request.poly!r}: {exc}") from exc
     n, m = request.n, request.m
+    if kind != "march" and field is not None and field.m != m:
+        raise RequestError(
+            f"field polynomial {request.poly!r} has degree {field.m}, "
+            f"but m={m}: the poly must define GF(2^m)"
+        )
     test_name = request.test
     if kind == "march":
         test = _MARCH_TESTS[request.test]
@@ -457,6 +468,9 @@ def resolve_campaign(request: CampaignRequest) -> ResolvedCampaign:
     if request.n > MAX_CELLS:
         raise RequestError(
             f"n must be at most {MAX_CELLS}, got {request.n!r}")
+    if request.m > MAX_WORD_BITS:
+        raise RequestError(
+            f"m must be at most {MAX_WORD_BITS}, got {request.m!r}")
     workers = request.workers
     if not _is_int(workers) or not 0 <= workers <= MAX_WORKERS:
         raise RequestError(

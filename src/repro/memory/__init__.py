@@ -28,7 +28,6 @@ from repro.memory.behavior import CellBehavior, TransparentBehavior
 from repro.memory.decoder import AddressDecoder
 from repro.memory.packed import LaneFaultModel, PackedMemoryArray
 from repro.memory.scrambler import AddressScrambler
-from repro.memory.stream_exec import apply_stream_generic
 from repro.memory.trace import Operation, OperationTrace
 from repro.memory.ram import SinglePortRAM, RamStats
 from repro.memory.multiport import (
@@ -45,7 +44,6 @@ __all__ = [
     "TransparentBehavior",
     "AddressDecoder",
     "AddressScrambler",
-    "apply_stream_generic",
     "LaneFaultModel",
     "PackedMemoryArray",
     "Operation",

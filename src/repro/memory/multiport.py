@@ -266,9 +266,8 @@ class MultiPortRAM:
         # The loop below inlines cycle()/_read_internal/_write_internal
         # with the per-op attribute traffic hoisted into locals -- the
         # multi-port analogue of SinglePortRAM.apply_stream's hot loop.
-        # Any semantic change here must be mirrored in cycle() and in
-        # the portable grouped executor (repro.memory.stream_exec); the
-        # tests/sim equivalence suite compares all paths op for op.
+        # Any semantic change here must be mirrored in cycle(); the
+        # tests/sim equivalence suite compares the paths op for op.
         stats = self.stats
         trace = self._trace
         behavior = self._behavior

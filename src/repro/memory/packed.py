@@ -28,7 +28,7 @@ Every column is one plain Python int: arbitrary precision, no
 dependencies.  CPython's bignum bitwise ops are word-packed C loops with
 near-zero dispatch cost, writes rebind instead of copying, and a zero
 diff short-circuits a whole record, so one int executor serves every
-geometry the campaign engine produces (up to ``max_lanes=4096`` at
+geometry the campaign engine produces (up to ``MAX_LANES = 4096`` at
 ``m=8``, a 2^15-bit column).
 
 Per-lane fault semantics plug in through :class:`LaneFaultModel`: the

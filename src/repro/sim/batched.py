@@ -70,10 +70,10 @@ from repro.memory.packed import LaneFaultModel, PackedMemoryArray
 from repro.sim.campaign import (
     POOL_FAILURES,
     CampaignResult,
-    _check_chunk_size,
     _drain_shards,
     _monotonic_progress,
     _partition_faults,
+    _pool_failed,
     _reference_pass,
     _run_task,
     _scalar_task,
@@ -730,9 +730,13 @@ _BUILTIN_KINDS = frozenset(_MODELS)
 #: fully-vectorizable campaigns never touch (or start) a pool.
 LANE_SHARD_MIN_FAULTS = 4096
 
+#: Lane-width cap per pass: a class with more faults is cut into passes
+#: of at most this many lanes (a 2^15-bit column at m=8).
+MAX_LANES = 4096
+
 #: Floor for worker-side lane-chunk widths.  A lane pass costs one
 #: stream replay regardless of width, so thin chunks multiply total
-#: work; chunks only shrink below ``max_lanes`` to give each worker a
+#: work; chunks only shrink below ``MAX_LANES`` to give each worker a
 #: few per class.
 LANE_SHARD_MIN_CHUNK = 256
 
@@ -780,11 +784,9 @@ def build_lane_model(kind: str,
 
 
 def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
-                         ram_factory: Callable[[], object] | None = None,
-                         workers: int = 0, chunk_size: int | None = None,
+                         workers: int = 0,
                          progress: Callable[[int, int], None] | None = None,
                          reference_check: bool = True,
-                         max_lanes: int = 4096,
                          pool: WorkerPool | None = None
                          ) -> CampaignResult:
     """Replay one compiled stream against a universe, one pass per class.
@@ -810,10 +812,6 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         streams get ``m`` bit planes per lane.
     universe:
         Iterable of faults; outcome order preserved.
-    ram_factory:
-        A custom front-end (scramblers, exotic decoders) changes replay
-        semantics the packed backend does not model, so a non-None
-        factory delegates everything to :func:`run_campaign`.
     workers:
         ``N > 0`` (or an explicit ``pool``) runs pool work
         *concurrently* with the parent's lane passes: the scalar
@@ -824,25 +822,21 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         carrying a :class:`~repro.faults.universe.UniverseSpec` shard as
         ``(spec, index range)`` -- workers re-derive their faults
         locally -- and anything else ships explicit fault chunks.  Falls
-        back to single-process execution when the platform cannot spawn
-        workers.  Small fully-vectorizable universes never touch (or
-        start) a pool at all.
-    chunk_size:
-        ``None`` (default) cuts scalar shards of at most
-        ``SERIAL_CHUNK`` faults, a few per worker; a positive int fixes
-        the shard length.
+        back to single-process execution, with a warning on the
+        ``repro.sim`` logger, when the platform cannot spawn workers.
+        Small fully-vectorizable universes never touch (or start) a pool
+        at all.
     progress:
         ``progress(done, total)`` with ``total`` the full universe size,
         fired after each lane chunk and each fallback chunk.
     reference_check:
         Validate the stream on a fault-free memory first (shared cache
         with the scalar engine).
-    max_lanes:
-        Lane-width cap per pass; a class with more faults is chunked.
     pool:
         Explicit :class:`~repro.sim.pool.WorkerPool` for the shards;
         default is the process-wide shared pool for ``workers``.
 
+    A class wider than :data:`MAX_LANES` faults runs in several passes.
     ``CampaignResult.faults_batched`` reports how many faults the lane
     passes resolved; ``operations_replayed`` counts lane-pass records
     once per *pass* plus the scalar fallback's per-fault records (so it
@@ -857,20 +851,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     >>> result.detection_ratio, result.faults_batched
     (1.0, 64)
     """
-    if max_lanes < 1:
-        raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
-    if ram_factory is not None:
-        # A custom front-end may remap addresses or ports in ways the
-        # plane-packed backend does not model, so a non-None factory
-        # delegates everything to the scalar engine (which still gets
-        # compiled replay and process sharding), keeping the batched
-        # entry point universally callable.
-        return run_campaign(stream, universe, ram_factory=ram_factory,
-                            workers=workers, chunk_size=chunk_size,
-                            progress=progress,
-                            reference_check=reference_check, pool=pool)
     n = stream.n
-    chunk_size = _check_chunk_size(chunk_size)
     if reference_check:
         _reference_pass(stream, n, stream.m)
     # Clamped once here: a pool failure mid-drain re-runs the remainder
@@ -920,7 +901,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     pending = None
     if use_pool and (fallback or shipped):
         pending = _start_shards(stream, faults, fallback, shipped, spec,
-                                effective, pool, chunk_size, max_lanes)
+                                effective, pool)
     if pending is None and shipped:
         # No pool after all: the parent runs every lane pass itself.
         local_classes, shipped = classes, {}
@@ -929,8 +910,8 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
 
     def run_lane_pass(kind: str, members: list) -> None:
         nonlocal done
-        for base in range(0, len(members), max_lanes):
-            chunk = members[base:base + max_lanes]
+        for base in range(0, len(members), MAX_LANES):
+            chunk = members[base:base + MAX_LANES]
             model = build_lane_model(kind, [sem for _, sem in chunk])
             packed = PackedMemoryArray(n, lanes=len(chunk), m=stream.m)
             model.install(packed)
@@ -996,7 +977,6 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
                 progress(batched_done + sub_done, total)
 
             scalar = run_campaign(stream, [faults[i] for i in fallback],
-                                  chunk_size=chunk_size,
                                   progress=_remap if progress is not None
                                   else None,
                                   reference_check=False)
@@ -1020,8 +1000,7 @@ def _unpack_lanes(detected: int, members: list, verdicts: list) -> None:
         verdicts[index] = bit == "1"
 
 
-def _start_shards(stream, faults, fallback, shipped, spec, workers, pool,
-                  chunk_size, max_lanes):
+def _start_shards(stream, faults, fallback, shipped, spec, workers, pool):
     """Queue scalar + lane shards, each carrying the stream, on the pool.
 
     Scalar shards follow the fixed plan of
@@ -1040,12 +1019,11 @@ def _start_shards(stream, faults, fallback, shipped, spec, workers, pool,
     try:
         stream_pair = pool.stream_pair(stream)
         tasks = [_scalar_task("fallback", stream_pair, spec, lo, hi,
-                              scalar_faults, None, n, m)
-                 for lo, hi in _shard_plan(len(fallback), pool.workers,
-                                           chunk_size)]
+                              scalar_faults, n, m)
+                 for lo, hi in _shard_plan(len(fallback), pool.workers)]
         for kind in sorted(shipped):
             members = shipped[kind]
-            width = min(max_lanes,
+            width = min(MAX_LANES,
                         max(LANE_SHARD_MIN_CHUNK,
                             -(-len(members) // (pool.workers * 2))))
             for base in range(0, len(members), width):
@@ -1058,8 +1036,8 @@ def _start_shards(stream, faults, fallback, shipped, spec, workers, pool,
                     tasks.append(("lane-list", stream_pair, None, kind, base,
                                   hi, chunk_faults, n, m))
         return pool, pool.imap_unordered(_run_task, tasks)
-    except POOL_FAILURES:
-        pool.mark_broken()
+    except POOL_FAILURES as exc:
+        _pool_failed(pool, exc)
         return None
 
 
@@ -1068,6 +1046,6 @@ def _finish_shards(pending, merge, progress, done, total, expected):
     pool, results = pending
     try:
         return _drain_shards(results, expected, progress, done, total, merge)
-    except POOL_FAILURES:
-        pool.mark_broken()
+    except POOL_FAILURES as exc:
+        _pool_failed(pool, exc)
         return None

@@ -39,6 +39,7 @@ the engine's wall-clock win over the interpreted loop comes from (see
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
@@ -55,7 +56,6 @@ from repro.faults.universe import (
 )
 from repro.memory.multiport import MultiPortRAM, PortConflictError
 from repro.memory.ram import SinglePortRAM
-from repro.memory.stream_exec import apply_stream_generic
 from repro.sim.ir import OpStream
 from repro.sim.pool import (
     PoolUnavailable,
@@ -68,7 +68,7 @@ __all__ = ["CampaignResult", "run_campaign", "partition_universe",
            "partition_table"]
 
 #: Longest shard, in faults, and the serial-path chunk length (progress
-#: cadence) when ``chunk_size`` is left to the engine.
+#: cadence).
 SERIAL_CHUNK = 128
 
 #: Shards the sharded plan cuts per worker on a small universe, so a
@@ -159,10 +159,6 @@ class CampaignResult:
         )
 
 
-def _default_ram_factory(n: int, m: int):
-    return SinglePortRAM(n, m=m)
-
-
 def _stream_ram(n: int, m: int, ports: int):
     """The canonical perfect memory for a stream: single-port for flat
     streams, an N-port front-end for cycle-grouped ones."""
@@ -171,9 +167,9 @@ def _stream_ram(n: int, m: int, ports: int):
     return SinglePortRAM(n, m=m)
 
 
-def _run_one(stream: OpStream, fault: Fault, ram_factory, n: int,
-             m: int) -> tuple[bool, int]:
-    """Inject one fault into a fresh RAM and replay with early abort.
+def _run_one(stream: OpStream, fault: Fault) -> tuple[bool, int]:
+    """Inject one fault into a fresh canonical RAM and replay with early
+    abort.
 
     A :class:`~repro.memory.multiport.PortConflictError` raised
     mid-replay counts as a *detection*: healthy-logical streams never
@@ -182,34 +178,14 @@ def _run_one(stream: OpStream, fault: Fault, ram_factory, n: int,
     onto one cell -- drove the test into undefined port behaviour, which
     is exactly how the interpreted multi-port engines fail on it too.
     """
-    ram = ram_factory() if ram_factory is not None \
-        else _stream_ram(n, m, stream.ports)
-    if ram.n != n or ram.m != m:
-        # A stream compiled for one geometry replayed on another would
-        # silently test the wrong address space (or crash mid-replay).
-        raise ValueError(
-            f"ram_factory built a {ram.n}x{ram.m}-bit RAM but the stream "
-            f"{stream.name!r} was compiled for {n}x{m}"
-        )
-    if getattr(ram, "ports", 1) < stream.ports:
-        raise ValueError(
-            f"ram_factory built a {getattr(ram, 'ports', 1)}-port RAM but "
-            f"the stream {stream.name!r} needs {stream.ports} ports"
-        )
+    ram = _stream_ram(stream.n, stream.m, stream.ports)
     injector = FaultInjector([fault])
     injector.install(ram)
     mismatches: list[tuple[int, int]] = []
-    apply = getattr(ram, "apply_stream", None)
     try:
-        # Duck-typed front-ends honour only the read/write/idle
-        # contract: replay those through the portable executor.
-        executed = (apply(stream.ops, tables=stream.tables,
-                          stop_on_mismatch=True, mismatches=mismatches)
-                    if apply is not None
-                    else apply_stream_generic(ram, stream.ops,
-                                              tables=stream.tables,
-                                              stop_on_mismatch=True,
-                                              mismatches=mismatches))
+        executed = ram.apply_stream(stream.ops, tables=stream.tables,
+                                    stop_on_mismatch=True,
+                                    mismatches=mismatches)
     except PortConflictError:
         injector.remove(ram)
         return True, 0
@@ -369,7 +345,7 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 # ``(digest, blob)`` (``WorkerPool.stream_pair``): every task carries
 # the stream.  Scalar shards are
 #
-#     (mode, stream_pair, spec, lo, hi, faults, ram_factory, n, m)
+#     (mode, stream_pair, spec, lo, hi, faults, n, m)
 #
 # where ``mode`` selects how the shard's faults are obtained:
 #
@@ -422,10 +398,10 @@ def _shard_faults(mode, spec, lo, hi, faults, n, m):
 
 def _run_scalar_task(task) -> tuple:
     """Replay one scalar shard: ``("scalar", lo, hi, outcomes)``."""
-    mode, stream_pair, spec, lo, hi, faults, ram_factory, n, m = task
+    mode, stream_pair, spec, lo, hi, faults, n, m = task
     stream = worker_stream(*stream_pair)
     return ("scalar", lo, hi,
-            [_run_one(stream, fault, ram_factory, n, m)
+            [_run_one(stream, fault)
              for fault in _shard_faults(mode, spec, lo, hi, faults, n, m)])
 
 
@@ -467,45 +443,37 @@ def _run_task(task) -> tuple:
     raise ValueError(f"unknown shard task tag {tag!r}")
 
 
-def _scalar_task(mode, stream_pair, spec, lo, hi, faults, ram_factory, n,
-                 m) -> tuple:
+def _scalar_task(mode, stream_pair, spec, lo, hi, faults, n, m) -> tuple:
     """Build one scalar shard task for the ``[lo:hi)`` fault range."""
     if spec is None:
-        return ("list", stream_pair, None, lo, hi, faults[lo:hi],
-                ram_factory, n, m)
-    return (mode, stream_pair, spec, lo, hi, None, ram_factory, n, m)
+        return ("list", stream_pair, None, lo, hi, faults[lo:hi], n, m)
+    return (mode, stream_pair, spec, lo, hi, None, n, m)
 
 
-def _shard_plan(total: int, workers: int,
-                chunk_size: int | None = None) -> list[tuple[int, int]]:
-    """Cut ``total`` faults into contiguous ``(lo, hi)`` shard ranges.
+def _shard_plan(total: int, workers: int) -> list[tuple[int, int]]:
+    """Cut ``total`` faults into contiguous ``(lo, hi)`` shard ranges of
+    ``min(SERIAL_CHUNK, ceil(total / (SHARDS_PER_WORKER * workers)))``
+    faults.  Contiguity is what lets a shard travel as a bare ``(spec,
+    lo, hi)`` index range.
 
-    ``chunk_size`` fixes the shard length; left to the engine it is
-    ``min(SERIAL_CHUNK, ceil(total / (SHARDS_PER_WORKER * workers)))``.
-    Contiguity is what lets a shard travel as a bare ``(spec, lo, hi)``
-    index range.
-
-    >>> _shard_plan(10, workers=4, chunk_size=4)
-    [(0, 4), (4, 8), (8, 10)]
+    >>> _shard_plan(10, workers=2)
+    [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
     >>> len(_shard_plan(256, workers=2)), _shard_plan(10_000, workers=2)[0]
     (8, (0, 128))
     """
-    if chunk_size is None:
-        shards = SHARDS_PER_WORKER * workers
-        chunk_size = max(1, min(SERIAL_CHUNK, -(-total // shards)))
-    return [(lo, min(lo + chunk_size, total))
-            for lo in range(0, total, chunk_size)]
+    chunk = max(1, min(SERIAL_CHUNK, -(-total // (SHARDS_PER_WORKER
+                                                  * workers))))
+    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
 def _reference_pass(stream: OpStream, n: int, m: int) -> None:
     """Fault-free replay on a canonical perfect memory; caches success
     (and the stream's operation count) on the stream.
 
-    Uses a canonical default front-end (``SinglePortRAM``, or a perfect
-    ``MultiPortRAM`` for cycle-grouped streams) rather than
-    ``ram_factory`` so the factory is called exactly once per fault (the
-    legacy campaign contract) and so the check answers the right
-    question: is the stream self-consistent on a *perfect* memory?
+    Runs on the same canonical front-end as every per-fault replay
+    (``SinglePortRAM``, or a perfect ``MultiPortRAM`` for cycle-grouped
+    streams), with no fault installed: is the stream self-consistent on
+    a *perfect* memory?
     """
     if stream.reference_verified:
         return
@@ -526,27 +494,17 @@ def _reference_pass(stream: OpStream, n: int, m: int) -> None:
     stream.reference_operations = executed
 
 
-def _check_chunk_size(chunk_size) -> int | None:
-    """Validate the ``chunk_size`` override (None = the engine's plan)."""
-    if chunk_size is None:
-        return None
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int) \
-            or chunk_size < 1:
-        raise ValueError(
-            f"chunk_size must be None (shards of at most {SERIAL_CHUNK} "
-            f"faults, a few per worker) or a positive int (fixed shards "
-            f"of that many faults), got {chunk_size!r}"
-        )
-    return chunk_size
-
-
 def run_campaign(stream: OpStream, universe: Iterable[Fault],
-                 ram_factory: Callable[[], object] | None = None,
-                 workers: int = 0, chunk_size: int | None = None,
+                 workers: int = 0,
                  progress: Callable[[int, int], None] | None = None,
                  reference_check: bool = True,
                  pool: WorkerPool | None = None) -> CampaignResult:
     """Replay one compiled stream against every fault of a universe.
+
+    Each fault is replayed on a fresh canonical front-end:
+    ``SinglePortRAM(stream.n, m=stream.m)`` for a flat stream,
+    ``MultiPortRAM(stream.n, m=stream.m, ports=stream.ports)`` for a
+    cycle-grouped one.
 
     Parameters
     ----------
@@ -559,23 +517,13 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
         :mod:`repro.faults.universe` generators produce) is sharded
         *by spec*: workers re-enumerate their faults locally instead of
         unpickling them per chunk.
-    ram_factory:
-        Overrides the default ``SinglePortRAM(stream.n, m=stream.m)`` --
-        or, for a cycle-grouped stream, the default
-        ``MultiPortRAM(stream.n, m=stream.m, ports=stream.ports)``.  The
-        factory's RAM must offer at least ``stream.ports`` ports.  With
-        ``workers > 0`` it must be picklable (a module-level function or
-        functools.partial, not a lambda).
     workers:
         ``0`` (default) runs in-process -- unless ``pool`` is given, in
         which case its worker count applies.  ``N > 0`` fans shards out
         to the persistent ``shared_pool(N)`` (or ``pool``); falls back
-        to in-process execution if the platform cannot spawn workers
-        (sandboxes, missing /dev/shm).
-    chunk_size:
-        ``None`` (default) cuts shards of at most ``SERIAL_CHUNK``
-        faults, a few per worker.  A positive int fixes the shard
-        length (also the serial progress cadence).
+        to in-process execution, with a warning on the ``repro.sim``
+        logger, if the platform cannot spawn workers (sandboxes,
+        missing /dev/shm).
     progress:
         Optional ``progress(done, total)`` hook called after each chunk
         (the universe is materialized up front, so ``total`` is always
@@ -598,7 +546,6 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
     1.0
     """
     n, m = stream.n, stream.m
-    chunk_size = _check_chunk_size(chunk_size)
     if reference_check:
         _reference_pass(stream, n, m)
     progress = _monotonic_progress(progress)
@@ -610,18 +557,16 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
         effective = workers or pool.workers
         outcomes = _run_sharded(stream, faults,
                                 getattr(universe, "spec", None),
-                                ram_factory, n, m, effective, pool,
-                                chunk_size, progress)
+                                effective, pool, progress)
         if outcomes is not None:
             result.workers_used = effective
     if outcomes is None:  # serial path, or process fan-out unavailable
         outcomes = []
         done = 0
-        serial_chunk = chunk_size or SERIAL_CHUNK
-        for lo in range(0, len(faults), serial_chunk):
-            chunk = faults[lo:lo + serial_chunk]
+        for lo in range(0, len(faults), SERIAL_CHUNK):
+            chunk = faults[lo:lo + SERIAL_CHUNK]
             for fault in chunk:
-                outcomes.append(_run_one(stream, fault, ram_factory, n, m))
+                outcomes.append(_run_one(stream, fault))
             done += len(chunk)
             if progress is not None:
                 progress(done, len(faults))
@@ -633,8 +578,11 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
 
 
 #: Exceptions that mean "the pool cannot serve this campaign" -- callers
-#: mark the pool broken and degrade to single-process execution.
+#: hand them to :func:`_pool_failed` and degrade to single-process
+#: execution.
 POOL_FAILURES = (PoolUnavailable, OSError, PermissionError, ImportError)
+
+_log = logging.getLogger("repro.sim")
 
 #: Seconds to wait for any single shard result.  A worker killed
 #: mid-shard (OOM, segfault) loses its task: the drain would block on it
@@ -685,6 +633,18 @@ def _drain_shards(results, expected: int, progress, done: int, total: int,
     return done
 
 
+def _pool_failed(pool: WorkerPool, exc: BaseException) -> None:
+    """Mark ``pool`` broken and warn that the campaign runs serially.
+
+    The pool could not start (sandbox) or lost a worker mid-run: a
+    broken pool is closed so the next campaign gets a fresh one, and
+    this campaign degrades to the serial path rather than failing.
+    """
+    pool.mark_broken()
+    _log.warning("worker pool unavailable (%s: %s); running serially",
+                 type(exc).__name__, exc)
+
+
 def _monotonic_progress(progress):
     """Wrap a progress hook so reported ``done`` never decreases.
 
@@ -705,8 +665,8 @@ def _monotonic_progress(progress):
     return hook
 
 
-def _run_sharded(stream, faults, spec, ram_factory, n, m, workers, pool,
-                 chunk_size, progress) -> list[tuple[bool, int]] | None:
+def _run_sharded(stream, faults, spec, workers, pool,
+                 progress) -> list[tuple[bool, int]] | None:
     """Fan fixed shards out over the pool; ``None`` when unavailable.
 
     Completed payloads merge into a position-keyed array -- identical
@@ -723,15 +683,11 @@ def _run_sharded(stream, faults, spec, ram_factory, n, m, workers, pool,
     try:
         stream_pair = pool.stream_pair(stream)
         tasks = [_scalar_task("slice", stream_pair, spec, lo, hi, faults,
-                              ram_factory, n, m)
-                 for lo, hi in _shard_plan(len(faults), pool.workers,
-                                           chunk_size)]
+                              stream.n, stream.m)
+                 for lo, hi in _shard_plan(len(faults), pool.workers)]
         _drain_shards(pool.imap_unordered(_run_task, tasks), len(faults),
                       progress, 0, len(faults), merge)
         return outcomes
-    except POOL_FAILURES:
-        # Could not start (sandbox) or lost a worker mid-run: a broken
-        # pool is closed so the next campaign gets a fresh one, and this
-        # campaign degrades to the serial path rather than failing.
-        pool.mark_broken()
+    except POOL_FAILURES as exc:
+        _pool_failed(pool, exc)
         return None

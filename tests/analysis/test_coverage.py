@@ -9,7 +9,6 @@ from repro.analysis import (
 )
 from repro.faults import single_cell_universe
 from repro.march.library import MARCH_C_MINUS, MATS
-from repro.memory import SinglePortRAM
 from repro.prt import PiIteration, standard_schedule
 
 
@@ -75,17 +74,6 @@ class TestRunCoverage:
         )
         # One iteration catches some but not all SAFs.
         assert 0.0 < report.coverage_of("SAF") < 1.0
-
-    def test_custom_ram_factory(self):
-        universe = single_cell_universe(8, classes=("SAF",))
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return SinglePortRAM(8)
-
-        run_coverage(march_runner(MATS), universe, 8, ram_factory=factory)
-        assert len(calls) == len(universe)
 
     def test_wom_campaign(self):
         universe = single_cell_universe(8, m=4, classes=("SAF",))

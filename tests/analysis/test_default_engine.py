@@ -17,7 +17,6 @@ from repro.analysis.request import ENGINES as request_engines
 from repro.cli import build_parser
 from repro.faults import StuckAtFault, single_cell_universe, standard_universe
 from repro.march.library import MARCH_C_MINUS
-from repro.memory import SinglePortRAM
 from repro.prt import PiIteration
 from repro.server.schemas import report_to_dict
 
@@ -103,13 +102,6 @@ class TestAutoScalarRoutes:
         return [report_to_dict(run_coverage(runner, universe, 8,
                                             engine=engine, **kwargs))
                 for engine in ("auto", "compiled")]
-
-    def test_custom_ram_factory(self, spies):
-        universe = single_cell_universe(8, classes=("SAF", "TF", "SOF"))
-        auto, compiled = self._both(universe,
-                                    ram_factory=lambda: SinglePortRAM(8))
-        assert auto == compiled
-        assert spies == ["run_campaign_batched", "run_campaign"]
 
     def test_custom_fault(self):
         universe = list(single_cell_universe(8, classes=("SAF", "TF")))

@@ -28,6 +28,7 @@ from repro.analysis.complexity import march_operations
 from repro.analysis.request import (
     _TESTS,
     MAX_CELLS,
+    MAX_WORD_BITS,
     MAX_WORKERS,
     run_request,
 )
@@ -77,6 +78,30 @@ class TestValidation:
             with pytest.raises(RequestError,
                                match=f"n must be at most {MAX_CELLS}"):
                 resolve_campaign(CampaignRequest(test="march-c", n=n))
+
+    def test_word_width_is_bounded(self):
+        resolve_campaign(CampaignRequest(test="mats", n=8, m=MAX_WORD_BITS))
+        for m in (MAX_WORD_BITS + 1, 20, 10**6):
+            with pytest.raises(RequestError,
+                               match=f"m must be at most {MAX_WORD_BITS}"):
+                resolve_campaign(CampaignRequest(test="dual-port", n=64,
+                                                 m=m))
+
+    @pytest.mark.parametrize("test", ["prt3", "dual-port", "quad-schedule"])
+    def test_poly_degree_must_match_m(self, test):
+        with pytest.raises(RequestError, match="has degree 4, but m=1"):
+            resolve_campaign(CampaignRequest(test=test, n=16, m=1,
+                                             poly="1+z+z^4"))
+        with pytest.raises(RequestError, match="has degree 4, but m=8"):
+            resolve_campaign(CampaignRequest(test=test, n=16, m=8,
+                                             poly="1+z+z^4"))
+        resolve_campaign(CampaignRequest(test=test, n=16, m=4,
+                                         poly="1+z+z^4"))
+
+    def test_march_tests_ignore_poly(self):
+        # A March test uses no field, so its poly stays inert.
+        resolve_campaign(CampaignRequest(test="march-c", n=16, m=1,
+                                         poly="1+z+z^4"))
 
     @pytest.mark.parametrize("field, value", [("m", True), ("n", True),
                                               ("n", 8.0)])

@@ -6,7 +6,12 @@ import pickle
 
 import pytest
 
-from repro.analysis.request import MAX_CELLS, MAX_WORKERS, CampaignRequest
+from repro.analysis.request import (
+    MAX_CELLS,
+    MAX_WORD_BITS,
+    MAX_WORKERS,
+    CampaignRequest,
+)
 from repro.server import JobManager, ResultCache, TestClient, create_app
 from repro.server.http import serve
 
@@ -127,6 +132,20 @@ class TestCoverageEndpoint:
                                {"test": "march-c", "n": MAX_CELLS + 1})
         assert response.status == 400
         assert f"n must be at most {MAX_CELLS}" in response.json()["error"]
+
+    def test_word_width_past_the_cap_is_400(self, client):
+        response = client.post("/coverage", {"test": "dual-port", "n": 64,
+                                             "m": MAX_WORD_BITS + 4})
+        assert response.status == 400
+        assert f"m must be at most {MAX_WORD_BITS}" in \
+            response.json()["error"]
+
+    @pytest.mark.parametrize("test", ["prt3", "dual-port"])
+    def test_poly_of_the_wrong_degree_is_400(self, client, test):
+        response = client.post("/coverage", {"test": test, "n": 16, "m": 1,
+                                             "poly": "1+z+z^4"})
+        assert response.status == 400
+        assert "has degree 4, but m=1" in response.json()["error"]
 
     def test_boolean_worker_count_is_400(self, client, no_pools):
         response = client.post("/coverage",

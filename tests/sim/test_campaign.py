@@ -62,54 +62,6 @@ class TestRunCampaign:
         # Every fault is detected well before the full 10n replay.
         assert result.operations_replayed < len(universe) * stream.operation_count
 
-    def test_ram_factory_geometry_mismatch_rejected(self):
-        stream = compile_march(MARCH_C_MINUS, 8)
-        universe = single_cell_universe(8, classes=("SAF",))
-        with pytest.raises(ValueError, match="compiled for"):
-            run_campaign(stream, universe,
-                         ram_factory=lambda: SinglePortRAM(16))
-
-    def test_geometry_mismatch_rejected_on_every_engine(self):
-        universe = single_cell_universe(8, classes=("SAF",))
-        for engine in ("auto", "interpreted"):
-            with pytest.raises(ValueError):
-                run_coverage(march_runner(MARCH_C_MINUS), universe, 8,
-                             ram_factory=lambda: SinglePortRAM(16),
-                             engine=engine)
-
-    def test_duck_typed_ram_factory(self):
-        # A front-end honouring only the read/write/idle/n/m contract must
-        # still work on the compiled campaign path (portable executor).
-        class Bare:
-            def __init__(self, n):
-                self._inner = SinglePortRAM(n)
-                self.n, self.m = n, 1
-
-            def read(self, addr):
-                return self._inner.read(addr)
-
-            def write(self, addr, value):
-                self._inner.write(addr, value)
-
-            def idle(self, cycles):
-                self._inner.idle(cycles)
-
-            def attach_behavior(self, behavior):
-                self._inner.attach_behavior(behavior)
-
-            def detach_behavior(self):
-                self._inner.detach_behavior()
-
-            @property
-            def decoder(self):
-                return self._inner.decoder
-
-        universe = single_cell_universe(8, classes=("SAF", "TF"))
-        report = run_coverage(march_runner(MARCH_C_MINUS), universe, 8,
-                              ram_factory=lambda: Bare(8))
-        native = run_coverage(march_runner(MARCH_C_MINUS), universe, 8)
-        assert _report_key(report) == _report_key(native)
-
     def test_compile_memoized_across_runs(self):
         from repro.sim import cached_schedule_stream
 
@@ -125,21 +77,16 @@ class TestRunCampaign:
         stream = compile_march(MARCH_C_MINUS, 16)
         universe = standard_universe(16)
         seen = []
-        run_campaign(stream, universe, workers=2, chunk_size=100,
+        run_campaign(stream, universe, workers=2,
                      progress=lambda done, total: seen.append((done, total)))
         assert len(seen) >= 2  # one callback per chunk, not one at the end
         assert seen[-1] == (len(universe), len(universe))
-
-    def test_chunk_size_validation(self):
-        stream = compile_march(MATS, 8)
-        with pytest.raises(ValueError):
-            run_campaign(stream, [], chunk_size=0)
 
     def test_progress_callback(self):
         stream = compile_march(MATS, 8)
         universe = single_cell_universe(8, classes=("SAF",))
         seen = []
-        run_campaign(stream, universe, chunk_size=5,
+        run_campaign(stream, universe,
                      progress=lambda done, total: seen.append((done, total)))
         assert seen[-1] == (len(universe), len(universe))
         assert [done for done, _ in seen] == sorted(done for done, _ in seen)
@@ -148,7 +95,7 @@ class TestRunCampaign:
         stream = compile_march(MARCH_C_MINUS, 16)
         universe = standard_universe(16)
         serial = run_campaign(stream, universe)
-        parallel = run_campaign(stream, universe, workers=2, chunk_size=64)
+        parallel = run_campaign(stream, universe, workers=2)
         assert [d for _, d in serial.outcomes] == [d for _, d in parallel.outcomes]
 
     def test_repr(self):
@@ -206,17 +153,6 @@ class TestRunCoverageRouting:
             run_coverage(march_runner(MATS),
                          single_cell_universe(8, classes=("SAF",)), 8,
                          engine="bogus")
-
-    def test_ram_factory_called_once_per_fault(self):
-        universe = single_cell_universe(8, classes=("SAF",))
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return SinglePortRAM(8)
-
-        run_coverage(march_runner(MATS), universe, 8, ram_factory=factory)
-        assert len(calls) == len(universe)
 
     def test_runner_is_still_callable(self):
         runner = march_runner(MATS)

@@ -139,20 +139,6 @@ class TestDuckTypedFrontEnds:
         native = schedule.run(SinglePortRAM(14))
         assert wrapped == native
 
-    def test_generic_executor_matches_inlined(self):
-        from repro.memory import apply_stream_generic
-        from repro.sim import compile_march
-
-        stream = compile_march(MARCH_C_MINUS, 16)
-        ram_a, ram_b = SinglePortRAM(16), SinglePortRAM(16)
-        mm_a, mm_b = [], []
-        a = apply_stream_generic(ram_a, stream.ops, tables=stream.tables,
-                                 mismatches=mm_a)
-        b = ram_b.apply_stream(stream.ops, tables=stream.tables,
-                               mismatches=mm_b)
-        assert (a, mm_a) == (b, mm_b)
-        assert _stats_tuple(ram_a) == _stats_tuple(ram_b)
-
 
 class TestScheduleEquivalence:
     @pytest.mark.parametrize("build", [standard_schedule, extended_schedule],

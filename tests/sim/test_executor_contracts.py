@@ -1,9 +1,8 @@
 """Cross-executor IR contracts: accumulator ids, capture, executed counts.
 
-Four executors replay the :mod:`repro.sim` IR -- the inlined
+Three executors replay the :mod:`repro.sim` IR -- the inlined
 ``SinglePortRAM.apply_stream`` / ``MultiPortRAM.apply_stream`` hot
-loops, the portable :func:`~repro.memory.stream_exec
-.apply_stream_generic`, and the lane-parallel
+loops and the lane-parallel
 :meth:`~repro.memory.packed.PackedMemoryArray.apply_stream`.  The suite
 pins the contracts that used to be implicit:
 
@@ -11,8 +10,8 @@ pins the contracts that used to be implicit:
   record slot on *every* executor (flat streams included) -- a stream
   running two automata must never cross-feed them;
 * within one cycle group a ``"wa"`` consumes its accumulator as of the
-  *cycle start* (``stream_exec._run_group`` semantics), with ``"ra"``
-  contributions of the same cycle visible only to later cycles;
+  *cycle start*, with ``"ra"`` contributions of the same cycle visible
+  only to later cycles;
 * ``"s"`` capture: scalar executors append observed values, the packed
   executor appends observed lane columns;
 * ``executed`` counts every read/write record including the ``"ra"``/
@@ -22,33 +21,11 @@ pins the contracts that used to be implicit:
 import pytest
 
 from repro.memory import MultiPortRAM, PackedMemoryArray, SinglePortRAM
-from repro.memory.stream_exec import apply_stream_generic
 from repro.sim.ir import OpStream
 
 
 def _flat_info(ops):
     return tuple((0, "test") for _ in ops)
-
-
-class _NoCycleRAM:
-    """Duck-typed multi-port front-end *without* a ``cycle`` method, to
-    force ``apply_stream_generic`` onto its reads-then-writes group
-    fallback."""
-
-    def __init__(self, inner: MultiPortRAM):
-        self._inner = inner
-
-    def read(self, addr, port=0):
-        return self._inner.read(addr, port=port)
-
-    def write(self, addr, value, port=0):
-        self._inner.write(addr, value, port=port)
-
-    def idle(self, cycles):
-        self._inner.idle(cycles)
-
-    def dump(self):
-        return self._inner.dump()
 
 
 # A flat stream running two recurrence automata concurrently: correct
@@ -82,15 +59,6 @@ class TestAccumulatorIds:
         assert executed == len(TWO_AUTOMATA_OPS)
         assert ram.dump() == [1, 0]
 
-    def test_generic_executor(self):
-        ram = SinglePortRAM(2)
-        mismatches = []
-        executed = apply_stream_generic(ram, TWO_AUTOMATA_OPS,
-                                        mismatches=mismatches)
-        assert mismatches == []
-        assert executed == len(TWO_AUTOMATA_OPS)
-        assert ram.dump() == [1, 0]
-
     def test_packed_executor_bit_oriented(self):
         packed = PackedMemoryArray(2, lanes=5)
         detected, executed = packed.apply_stream(TWO_AUTOMATA_OPS)
@@ -113,10 +81,9 @@ class TestAccumulatorIds:
 class TestSameCycleAccumulatorOrdering:
     """Satellite contract: a ``"wa"`` inside a cycle group consumes the
     accumulator as of the cycle *start*; an ``"ra"`` in the same group
-    becomes visible to later cycles only.  Pinned across all three
-    grouped executors (native ``MultiPortRAM.apply_stream``,
-    ``apply_stream_generic`` through ``cycle()``, and the generic
-    reads-then-writes fallback)."""
+    becomes visible to later cycles only.  Pinned on both grouped
+    executors (native ``MultiPortRAM.apply_stream`` and the packed lane
+    executor)."""
 
     def _stream(self):
         ops = (
@@ -148,19 +115,12 @@ class TestSameCycleAccumulatorOrdering:
                 stream.ops, mismatches=mismatches),
         )
 
-    def test_generic_executor_with_cycle(self):
-        self._check(
-            MultiPortRAM(2, ports=2),
-            lambda ram, stream, mismatches: apply_stream_generic(
-                ram, stream.ops, mismatches=mismatches),
-        )
-
-    def test_generic_executor_without_cycle(self):
-        self._check(
-            _NoCycleRAM(MultiPortRAM(2, ports=2)),
-            lambda ram, stream, mismatches: apply_stream_generic(
-                ram, stream.ops, mismatches=mismatches),
-        )
+    def test_packed_executor_one_lane(self):
+        packed = PackedMemoryArray(2, lanes=1)
+        detected, executed = packed.apply_stream(self._stream().ops)
+        assert detected == 0
+        assert executed == 6
+        assert packed.dump_lane(0) == [1, 1]
 
 
 class TestPackedCapture:

@@ -33,7 +33,6 @@ from repro.memory import (
     PortConflictError,
     QuadPortRAM,
     SinglePortRAM,
-    apply_stream_generic,
 )
 from repro.memory.decoder import AddressDecoder
 from repro.prt import (
@@ -357,70 +356,12 @@ class TestGroupedConflictSemantics:
             [d for _, d in serial.outcomes]
 
 
-class TestGenericGroupedExecutor:
-    """The portable fallback (`apply_stream_generic`) must match the
-    native multi-port executor op for op, cycle for cycle."""
-
-    def test_matches_native_on_cycle_capable_front_end(self):
-        iteration = DualPortPiIteration(seed=(0, 1))
-        stream = compile_dual_port_pi(iteration, 14)
-        ram_n, ram_g = DualPortRAM(14), DualPortRAM(14)
-        mm_n, mm_g, cap_n, cap_g = [], [], [], []
-        a = ram_n.apply_stream(stream.ops, tables=stream.tables,
-                               mismatches=mm_n, captured=cap_n)
-        b = apply_stream_generic(ram_g, stream.ops, tables=stream.tables,
-                                 mismatches=mm_g, captured=cap_g)
-        assert (a, mm_n, cap_n) == (b, mm_g, cap_g)
-        assert _stats_tuple(ram_n) == _stats_tuple(ram_g)
-        assert ram_n.dump() == ram_g.dump()
-
-    def test_quad_stream_through_generic(self):
-        iteration = QuadPortPiIteration(seed=(0, 1))
-        stream = compile_quad_port_pi(iteration, 12)
-        ram_n, ram_g = QuadPortRAM(12), QuadPortRAM(12)
-        cap_n, cap_g = [], []
-        ram_n.apply_stream(stream.ops, tables=stream.tables, captured=cap_n)
-        apply_stream_generic(ram_g, stream.ops, tables=stream.tables,
-                             captured=cap_g)
-        assert cap_n == cap_g
-        assert _stats_tuple(ram_n) == _stats_tuple(ram_g)
-
-    def test_cycle_less_front_end_preserves_data_semantics(self):
-        # No cycle() method: grouped execution degrades to
-        # reads-then-writes through the public per-op API -- values and
-        # verdicts identical, only the cycle count inflates.
-        class BareRAM:
-            def __init__(self, n):
-                self._inner = SinglePortRAM(n)
-                self.n, self.m = n, 1
-
-            def read(self, addr):
-                return self._inner.read(addr)
-
-            def write(self, addr, value):
-                self._inner.write(addr, value)
-
-            def idle(self, cycles):
-                self._inner.idle(cycles)
-
-        iteration = DualPortPiIteration(seed=(0, 1))
-        stream = compile_dual_port_pi(iteration, 14)
-        bare = BareRAM(14)
-        native = DualPortRAM(14)
-        cap_b, cap_n = [], []
-        apply_stream_generic(bare, stream.ops, tables=stream.tables,
-                             captured=cap_b)
-        native.apply_stream(stream.ops, tables=stream.tables, captured=cap_n)
-        assert cap_b == cap_n
-        assert bare._inner.dump() == native.dump()
-
-
 class TestGroupedRetentionClock:
     """The DRF ``clock(cycle)`` pre-increment contract under grouped
     streams: one cycle group advances the clock by exactly one tick,
     ``"i"`` idles advance retention by their full count, and decay fires
     at ``elapsed > retention`` -- identically on the native multi-port
-    executor, the generic executor and both packed backends.  Off-by-one
+    executor and the packed executor.  Off-by-one
     cycle accounting in any executor shifts the decay boundary and fails
     the sweep."""
 
@@ -467,11 +408,6 @@ class TestGroupedRetentionClock:
             # agreement: the read-back executes at clock 2 + pause.
             assert detected == (2 + pause > self.RETENTION), pause
             verdicts.append(detected)
-            generic = self._scalar(
-                ops,
-                lambda ram, ops, mm: apply_stream_generic(ram, ops,
-                                                          mismatches=mm))
-            assert generic == (detected, dump), pause
             fault = DataRetentionFault(2, retention=self.RETENTION)
             model = build_lane_model("retention",
                                      [fault.vector_semantics()])
@@ -662,17 +598,10 @@ class TestCampaignFrontEndGuards:
         result = run_campaign(stream, standard_universe(9))
         assert result.faults_total == len(standard_universe(9))
 
-    def test_too_few_ports_rejected(self):
-        stream = compile_quad_port_pi(QuadPortPiIteration(seed=(0, 1)), 12)
-        with pytest.raises(ValueError, match="needs 4 ports"):
-            run_campaign(stream, standard_universe(12),
-                         ram_factory=lambda: DualPortRAM(12),
-                         reference_check=False)
-
     def test_run_coverage_default_front_end_per_engine(self):
-        # No ram_factory on any engine: the runner's `ports` attribute
-        # picks a perfect MultiPortRAM for the interpreted loop, the
-        # stream's `ports` for the compiled campaign.
+        # The runner's `ports` attribute picks a perfect MultiPortRAM
+        # for the interpreted loop, the stream's `ports` for the
+        # compiled campaign.
         iteration = DualPortPiIteration(seed=(0, 1))
         universe = standard_universe(14)
         compiled = run_coverage(dual_port_runner(iteration), universe, 14)
@@ -686,16 +615,3 @@ class TestCampaignFrontEndGuards:
         run_campaign(stream, [])
         assert stream.reference_verified
         assert stream.reference_operations == stream.operation_count
-
-    def test_multiport_ram_factory_with_single_port_stream(self):
-        # The other direction: a flat stream on a multi-port front-end
-        # keeps the sequential one-op-per-cycle discipline.
-        from repro.march.library import MARCH_C_MINUS
-        from repro.sim import compile_march
-
-        stream = compile_march(MARCH_C_MINUS, 14)
-        result = run_campaign(stream, standard_universe(14),
-                              ram_factory=lambda: MultiPortRAM(14, ports=2))
-        baseline = run_campaign(stream, standard_universe(14))
-        assert [d for _, d in result.outcomes] == \
-            [d for _, d in baseline.outcomes]

@@ -7,6 +7,7 @@ fault lists, and an environment that cannot spawn processes silently
 degrades to the serial path.
 """
 
+import logging
 import os
 import pickle
 import subprocess
@@ -72,6 +73,15 @@ def worker_cache():
 
 def _verdicts(result):
     return [detected for _, detected in result.outcomes]
+
+
+def _assert_one_fallback_warning(caplog):
+    """The serial fallback was logged once, naming the pool's failure."""
+    records = [record for record in caplog.records
+               if record.name == "repro.sim"]
+    assert [record.levelno for record in records] == [logging.WARNING]
+    assert "running serially" in records[0].getMessage()
+    assert "PoolUnavailable" in records[0].getMessage()
 
 
 class _Recorded(Exception):
@@ -227,18 +237,19 @@ class TestShardedRunCampaign:
         faults = list(standard_universe(16))
         serial = run_campaign(stream, faults)
         with WorkerPool(2) as pool:
-            sharded = run_campaign(stream, faults, workers=2, pool=pool,
-                                   chunk_size=64)
+            sharded = run_campaign(stream, faults, workers=2, pool=pool)
         assert sharded.workers_used == 2
         assert _verdicts(sharded) == _verdicts(serial)
 
-    def test_pool_unavailable_degrades_to_serial(self):
+    def test_pool_unavailable_degrades_to_serial(self, caplog):
         stream = compile_march(MARCH_C_MINUS, 16)
         universe = standard_universe(16)
         pool = _broken_pool()
-        result = run_campaign(stream, universe, workers=2, pool=pool)
+        with caplog.at_level(logging.WARNING, logger="repro.sim"):
+            result = run_campaign(stream, universe, workers=2, pool=pool)
         assert result.workers_used == 0
         assert _verdicts(result) == _verdicts(run_campaign(stream, universe))
+        _assert_one_fallback_warning(caplog)
 
     def test_sandboxed_shared_pool_degrades(self, monkeypatch):
         # Simulate a sandbox where no pool can ever start: the shared
@@ -259,8 +270,7 @@ class TestShardedRunCampaign:
         universe = standard_universe(16)
         seen = []
         with WorkerPool(2) as pool:
-            run_campaign(stream, universe, workers=2, chunk_size=100,
-                         pool=pool,
+            run_campaign(stream, universe, workers=2, pool=pool,
                          progress=lambda done, total:
                          seen.append((done, total)))
         assert seen[-1] == (len(universe), len(universe))
@@ -325,10 +335,8 @@ class TestShardPlan:
     def test_plan_tiles_the_range_exactly(self):
         for total in (0, 1, 2, 7, 100, 1000, 10_000):
             for workers in (1, 2, 3, 16):
-                for chunk_size in (None, 1, 3, 128, 10_000):
-                    plan = _shard_plan(total, workers, chunk_size)
-                    assert self._tiles_exactly(plan, total), \
-                        (total, workers, chunk_size)
+                plan = _shard_plan(total, workers)
+                assert self._tiles_exactly(plan, total), (total, workers)
 
     def test_plan_oversubscribes_the_workers(self):
         # A small universe still gives every worker a few shards ...
@@ -340,19 +348,8 @@ class TestShardPlan:
         assert {hi - lo for lo, hi in plan[:-1]} == {SERIAL_CHUNK}
         assert plan[-1] == (9984, 10_000)
 
-    def test_explicit_chunk_size_is_honoured(self):
-        assert _shard_plan(10, workers=4, chunk_size=4) == \
-            [(0, 4), (4, 8), (8, 10)]
-
     def test_tiny_universe_never_yields_empty_shards(self):
         assert _shard_plan(1, workers=16) == [(0, 1)]
-
-    def test_bad_chunk_size_names_both_modes(self):
-        stream = compile_march(MATS, 4)
-        for bad in (0, -3, 2.5, "128", True):
-            with pytest.raises(ValueError,
-                               match="None.*positive int"):
-                run_campaign(stream, [], chunk_size=bad)
 
 
 class TestShardedRunCampaignBatched:
@@ -366,7 +363,7 @@ class TestShardedRunCampaignBatched:
         serial = run_campaign_batched(stream, universe)
         with WorkerPool(2) as pool:
             sharded = run_campaign_batched(stream, universe, workers=2,
-                                           pool=pool, chunk_size=4)
+                                           pool=pool)
         assert sharded.workers_used == 2
         assert sharded.faults_batched == serial.faults_batched
         assert sharded.faults_batched == len(universe) - 16
@@ -387,22 +384,26 @@ class TestShardedRunCampaignBatched:
         assert result.faults_batched == len(universe)
         pool.close()
 
-    def test_pool_unavailable_degrades_to_serial(self):
+    def test_pool_unavailable_degrades_to_serial(self, caplog):
+        # A scalar remainder, so the campaign does reach for the pool.
         stream = compile_march(MARCH_C_MINUS, 16)
-        universe = standard_universe(16)
+        universe = list(standard_universe(16)) + \
+            [ExoticKindFault(cell, 1) for cell in range(16)]
         pool = _broken_pool()
-        result = run_campaign_batched(stream, universe, workers=2, pool=pool)
+        with caplog.at_level(logging.WARNING, logger="repro.sim"):
+            result = run_campaign_batched(stream, universe, workers=2,
+                                          pool=pool)
         assert result.workers_used == 0
         serial = run_campaign_batched(stream, universe)
         assert _verdicts(result) == _verdicts(serial)
+        _assert_one_fallback_warning(caplog)
 
     def test_progress_monotonic_with_workers(self):
         stream = compile_march(MARCH_C_MINUS, 16)
         universe = standard_universe(16)
         seen = []
         with WorkerPool(2) as pool:
-            run_campaign_batched(stream, universe, workers=2, chunk_size=64,
-                                 pool=pool,
+            run_campaign_batched(stream, universe, workers=2, pool=pool,
                                  progress=lambda done, total:
                                  seen.append((done, total)))
         assert seen[-1] == (len(universe), len(universe))
@@ -422,7 +423,7 @@ class TestShardedRunCampaignBatched:
         stream = compile_march(MARCH_C_MINUS, 16)
         with WorkerPool(2) as pool:
             result = run_campaign_batched(stream, universe, workers=2,
-                                          pool=pool, chunk_size=1)
+                                          pool=pool)
         assert [f for f, _ in result.outcomes] == list(universe)
         assert result.detection_ratio == 1.0
 

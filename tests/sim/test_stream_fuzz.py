@@ -1,4 +1,4 @@
-"""Differential executor fuzzing: random valid OpStreams, five executors.
+"""Differential executor fuzzing: random valid OpStreams, three executors.
 
 Hypothesis generates random *valid* operation streams -- flat and
 cycle-grouped records, mixed ``w/r/s/ra/wa/i`` kinds, word widths m in
@@ -6,10 +6,6 @@ cycle-grouped records, mixed ``w/r/s/ra/wa/i`` kinds, word widths m in
 codebase:
 
 * ``MultiPortRAM.apply_stream`` (the native grouped executor, baseline),
-* ``apply_stream_generic`` on a cycle-capable front-end,
-* ``apply_stream_generic`` on a cycle-less wrapper (data semantics only:
-  its cycle accounting legitimately inflates, see the stream_exec module
-  docstring, so it is excluded from the clock assertions),
 * ``SinglePortRAM.apply_stream`` (flat single-port streams),
 * ``PackedMemoryArray.apply_stream``, one fault-free lane (the single
   int-column executor every word width runs on; a fixed m=1 example
@@ -17,9 +13,9 @@ codebase:
 
 Every executor must agree on the final memory image (trailing ``"wa"``
 flush records fold the per-id accumulators into it), the executed-record
-count, the captured signature values and the detection verdict; the
-cycle-capable executors must additionally agree on the exact clock trace
-(observed on the packed executor through a timed no-fault probe model).
+count, the captured signature values, the detection verdict and the
+exact clock trace (observed on the packed executor through a timed
+no-fault probe model).
 Recurrence tables are GF(2)-linear by construction -- generated from
 random basis images -- which is the invariant the packed executor's
 shift/XOR table lowering assumes and the compilers guarantee.
@@ -28,12 +24,7 @@ shift/XOR table lowering assumes and the compilers guarantee.
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from repro.memory import (
-    MultiPortRAM,
-    PackedMemoryArray,
-    SinglePortRAM,
-    apply_stream_generic,
-)
+from repro.memory import MultiPortRAM, PackedMemoryArray, SinglePortRAM
 from repro.memory.packed import LaneFaultModel
 from repro.sim import OpStream
 
@@ -140,26 +131,6 @@ class _ClockProbe(LaneFaultModel):
             self.ticks.append(cycle)
 
 
-class _BareRAM:
-    """Cycle-less front-end: public per-op API only, no ``cycle``."""
-
-    def __init__(self, n, m):
-        self._inner = SinglePortRAM(n, m=m)
-        self.n, self.m = n, m
-
-    def read(self, addr):
-        return self._inner.read(addr)
-
-    def write(self, addr, value):
-        self._inner.write(addr, value)
-
-    def idle(self, cycles):
-        self._inner.idle(cycles)
-
-    def dump(self):
-        return self._inner.dump()
-
-
 def _expected_clock(ops):
     """(pre-increment clock value per executed record, final cycle count).
 
@@ -184,15 +155,11 @@ def _expected_clock(ops):
     return ticks, cycle
 
 
-def _scalar_run(apply, ram, stream):
+def _scalar_run(ram, stream):
     mismatches, captured = [], []
-    executed = apply(ram, stream.ops, tables=stream.tables,
-                     mismatches=mismatches, captured=captured)
+    executed = ram.apply_stream(stream.ops, tables=stream.tables,
+                                mismatches=mismatches, captured=captured)
     return executed, mismatches, captured
-
-
-def _native(ram, ops, **kwargs):
-    return ram.apply_stream(ops, **kwargs)
 
 
 #: A fixed bit-oriented (m=1) two-port stream with every record kind and
@@ -224,30 +191,16 @@ def test_all_executors_agree(stream):
 
     # Baseline: the native multi-port grouped executor.
     ram = MultiPortRAM(stream.n, m=stream.m, ports=ports)
-    base_exec, base_mm, base_cap = _scalar_run(_native, ram, stream)
+    base_exec, base_mm, base_cap = _scalar_run(ram, stream)
     base_dump = ram.dump()
     assert base_exec == stream.operation_count
     assert ram.stats.cycles == total_cycles
-
-    # Generic executor on a cycle-capable front-end.
-    generic = MultiPortRAM(stream.n, m=stream.m, ports=ports)
-    result = _scalar_run(apply_stream_generic, generic, stream)
-    assert result == (base_exec, base_mm, base_cap)
-    assert generic.dump() == base_dump
-    assert generic.stats.cycles == total_cycles
-
-    # Generic executor on a cycle-less front-end: values, verdicts and
-    # accumulators identical; only the cycle count may inflate.
-    bare = _BareRAM(stream.n, stream.m)
-    result = _scalar_run(apply_stream_generic, bare, stream)
-    assert result == (base_exec, base_mm, base_cap)
-    assert bare.dump() == base_dump
 
     # Native single-port executor (flat streams only -- it rejects
     # grouped records by contract).
     if not stream.grouped:
         single = SinglePortRAM(stream.n, m=stream.m)
-        result = _scalar_run(_native, single, stream)
+        result = _scalar_run(single, stream)
         assert result == (base_exec, base_mm, base_cap)
         assert single.dump() == base_dump
         assert single.stats.cycles == total_cycles

@@ -215,6 +215,27 @@ class TestCoverageCommand:
         assert err.startswith("error: n must be at most 65536")
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_word_width_past_the_cap_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coverage", "--scheme", "dual-port", "--n", "64",
+                  "--m", "20"])
+        assert excinfo.value.code == 2  # resolver validation
+        err = capsys.readouterr().err
+        assert err.startswith("error: m must be at most 16")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize("selector", [["--test", "prt3"],
+                                          ["--scheme", "dual-port"]])
+    def test_poly_of_the_wrong_degree_exits_two(self, capsys, selector):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coverage", *selector, "--n", "16", "--m", "1",
+                  "--poly", "1+z+z^4"])
+        assert excinfo.value.code == 2  # resolver validation
+        err = capsys.readouterr().err
+        assert err.startswith("error: field polynomial '1+z+z^4' has "
+                              "degree 4, but m=1")
+        assert err.count("\n") == 1  # one line, no traceback
+
 
 class TestCompareOverhead:
     def test_compare(self, capsys):

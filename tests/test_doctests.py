@@ -42,7 +42,7 @@ def test_module_list_covers_packages():
 def test_module_list_covers_batched_subsystem():
     """The bit-packed engine's modules are doctested like everything else."""
     assert {"repro.sim.batched", "repro.sim.campaign",
-            "repro.memory.packed", "repro.memory.stream_exec"} <= set(MODULES)
+            "repro.memory.packed"} <= set(MODULES)
 
 
 @pytest.mark.parametrize(
