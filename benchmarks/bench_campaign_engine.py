@@ -94,6 +94,16 @@ Both outputs must be equal before a number is emitted.
 ``spec_vs_enumerate`` is a same-host ratio, and ``tools/check_bench.py``
 fails when it drops below 2 on a row of at least 1000 faults.
 
+A section (``plan_rows``) times what a cold request builds before its
+lane kernels run: the lane plan of ``standard_universe_spec(n, m)``
+(members by stride, every ``MAX_LANES`` pass's columns from the
+generator records, and the pass's lane model) against the same inputs
+from the descriptor rows (``partition_table`` and the rows -> columns
+adapter), at n=1024/m=1 and n=256/m=8.  Members, fallback and every
+pass's columns must be equal before a number is emitted.
+``plan_vs_rows`` is a same-host ratio, and ``tools/check_bench.py``
+fails when it drops below its floor on a row of at least 1000 faults.
+
 A tenth section (``glue_rows``) times the per-request glue around the
 lane kernels of a cold request, for March C-, PRT-3 and the dual-port
 schedule at n=512/m=1 and n=176/m=8: a fresh stream compile (its digest
@@ -151,6 +161,7 @@ from repro.analysis import (  # noqa: E402
 )
 from repro.analysis.request import build_field  # noqa: E402
 from repro.faults import (  # noqa: E402
+    FaultUniverse,
     bridging_universe,
     coupling_universe,
     decoder_universe,
@@ -161,6 +172,7 @@ from repro.faults import (  # noqa: E402
     standard_universe,
     standard_universe_spec,
 )
+from repro.faults.universe import LanePlan  # noqa: E402
 from repro.gf2 import primitive_polynomial  # noqa: E402
 from repro.gf2m import GF2m  # noqa: E402
 from repro.march.library import MARCH_C_MINUS  # noqa: E402
@@ -186,7 +198,12 @@ from repro.sim import (  # noqa: E402
     shutdown_shared_pools,
     verify,
 )
-from repro.sim.batched import MAX_LANES  # noqa: E402
+from repro.sim.batched import (  # noqa: E402
+    _MODELS,
+    _ROW_COLUMNS,
+    MAX_LANES,
+    lane_plan_of,
+)
 
 SIZES = (64, 256, 1024)
 SAMPLE = {64: None, 256: 400, 1024: 200}  # None = full universe
@@ -762,6 +779,83 @@ def bench_spec_lanes(n: int, m: int) -> dict:
     }
 
 
+#: Sub-millisecond at the quick geometries, so more repeats than the
+#: spec lane rows.
+PLAN_REPEATS = 15
+
+
+def _pass_ranges(count: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + MAX_LANES, count))
+            for lo in range(0, count, MAX_LANES)]
+
+
+def _plan_lanes(spec, n: int, m: int):
+    """Members, fallback and every pass's columns from the spec's lane
+    plan, with each pass's model built from them."""
+    plan = lane_plan_of(FaultUniverse.from_spec(spec), n, m)
+    if not isinstance(plan, LanePlan):
+        raise AssertionError(f"n={n} m={m}: the spec has no lane plan")
+    columns = {}
+    for kind, lanes in plan.sizes.items():
+        columns[kind] = [plan.columns(kind, lo, hi)
+                         for lo, hi in _pass_ranges(lanes)]
+        for pass_columns in columns[kind]:
+            _MODELS[kind](pass_columns)
+    return ({kind: plan.members(kind) for kind in plan.sizes},
+            plan.fallback, columns)
+
+
+def _row_lanes(spec, n: int, m: int):
+    """The same from the spec's descriptor rows: ``partition_table``,
+    then the rows -> columns adapter per pass."""
+    classes, fallback = partition_table(descriptor_table(spec), n, m)
+    columns = {}
+    for kind, group in classes.items():
+        semantics = [sem for _index, sem in group]
+        columns[kind] = [_ROW_COLUMNS[kind](semantics[lo:hi])
+                         for lo, hi in _pass_ranges(len(group))]
+        for pass_columns in columns[kind]:
+            _MODELS[kind](pass_columns)
+    return ({kind: [index for index, _sem in group]
+             for kind, group in classes.items()}, fallback, columns)
+
+
+def bench_plan(n: int, m: int) -> dict:
+    """A cold request's lane inputs: the spec's lane plan against rows.
+
+    Both sides turn ``standard_universe_spec(n, m)`` into the batched
+    engine's lane classes and, for every ``MAX_LANES`` pass, the lane
+    model's columns and the model itself: the plan from the generator
+    records, the rows through ``partition_table`` and the rows ->
+    columns adapter.  The plan side also lists its members (the engine
+    itself writes verdicts by stride and never lists them).  Best of a
+    few runs each; members, fallback and every pass's columns are
+    compared before any number is kept.
+    """
+    spec = standard_universe_spec(n, m)
+    plan_s, planned = _best_of(PLAN_REPEATS, lambda: _plan_lanes(spec, n, m))
+    rows_s, from_rows = _best_of(PLAN_REPEATS, lambda: _row_lanes(spec, n, m))
+    if planned != from_rows:
+        raise AssertionError(
+            f"n={n} m={m}: the lane plan diverged from the rows adapter")
+    faults = sum(len(members) for members in planned[0].values()) \
+        + len(planned[1])
+    ratio = round(rows_s / plan_s, 2) if plan_s else float("inf")
+    print(f" lane plan n={n:<5} m={m} faults={faults:<6} "
+          f"plan {plan_s * 1e3:>7.2f}ms  rows {rows_s * 1e3:>7.2f}ms  "
+          f"x{ratio}")
+    return {
+        "test": "standard universe",
+        "n": n,
+        "m": m,
+        "universe": f"standard m={m} (lane plan)",
+        "faults": faults,
+        "plan_s": round(plan_s, 5),
+        "rows_s": round(rows_s, 5),
+        "plan_vs_rows": ratio,
+    }
+
+
 GLUE_TESTS = (("March C-", "march-c"), ("PRT-3", "prt3"),
               ("dual-schedule", "dual-schedule"))
 GLUE_REPEATS = 5
@@ -942,6 +1036,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_sizes = [64]
         default_geometries = [(64, 1), (32, 4)]
         spec_lane_geometries = [(64, 1), (32, 8)]
+        plan_geometries = [(64, 1), (32, 8)]
         glue_geometries = [(64, 1), (32, 8)]
     else:
         sizes = list(args.sizes)
@@ -953,6 +1048,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_sizes = [1024]
         default_geometries = [(256, 1), (64, 4)]
         spec_lane_geometries = [(1024, 1), (256, 8)]
+        plan_geometries = [(1024, 1), (256, 8)]
         glue_geometries = [(512, 1), (176, 8)]
 
     rows = []
@@ -991,6 +1087,7 @@ def main(argv: list[str] | None = None) -> int:
         default_rows.extend(bench_default(n, m))
     spec_lane_rows = [bench_spec_lanes(n, m)
                       for n, m in spec_lane_geometries]
+    plan_rows = [bench_plan(n, m) for n, m in plan_geometries]
     glue_rows = [row for n, m in glue_geometries for row in bench_glue(n, m)]
     # The lane kernels of the glue rows' cold requests.
     lane_rows = [row for n, m in glue_geometries
@@ -1053,6 +1150,10 @@ def main(argv: list[str] | None = None) -> int:
         # check_bench fails when this drops below 2 on >= 1000 faults.
         "min_spec_lane_speedup": min(
             r["spec_vs_enumerate"] for r in spec_lane_rows),
+        "plan_rows": plan_rows,
+        # check_bench fails when this drops below its floor on >= 1000
+        # faults.
+        "min_plan_speedup": min(r["plan_vs_rows"] for r in plan_rows),
         "glue_rows": glue_rows,
         "lane_rows": lane_rows,
         "sharded_rows": sharded_rows,

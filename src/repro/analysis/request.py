@@ -484,6 +484,24 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _CacheKeyField:
+    """The ``cache_key`` field of :class:`RequestOutcome`: the key, or
+    the :class:`ResolvedCampaign` whose memoized key it reads on first
+    access, so a request run without a cache hashes its stream only if
+    a caller asks for the key."""
+
+    def __get__(self, outcome, owner=None):
+        if outcome is None:  # a required field: no class-level default
+            raise AttributeError("cache_key")
+        key = outcome.__dict__["cache_key"]
+        if isinstance(key, ResolvedCampaign):
+            key = outcome.__dict__["cache_key"] = key.cache_key
+        return key
+
+    def __set__(self, outcome, key) -> None:
+        outcome.__dict__["cache_key"] = key
+
+
 @dataclass
 class RequestOutcome:
     """What :func:`execute_request` produced, with cache provenance."""
@@ -491,7 +509,10 @@ class RequestOutcome:
     report: CoverageReport
     cached: bool  #: True when the report came out of the result cache
     elapsed_s: float  #: wall clock of this call (lookup or campaign)
-    cache_key: str
+    cache_key: str = _CacheKeyField()  # type: ignore[assignment]
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "cache_key": self.cache_key}
 
 
 def _resolve_cache(cache: ResultCache | bool | None) -> ResultCache | None:
@@ -560,9 +581,9 @@ def execute_request(request: CampaignRequest,
     resolved = resolve_campaign(request)
     _ensure_stream_verified(resolved)
     name = test_name if test_name is not None else resolved.test_name
-    key = resolved.cache_key
     store = _resolve_cache(cache)
     if store is not None:
+        key = resolved.cache_key
         hit = store.get(key)
         if hit is not None:
             hit.test_name = name
@@ -581,7 +602,7 @@ def execute_request(request: CampaignRequest,
     report = _run_resolved(resolved, name, pool, progress)
     return RequestOutcome(report=report, cached=False,
                           elapsed_s=time.perf_counter() - start,
-                          cache_key=key)
+                          cache_key=resolved)
 
 
 def _run_resolved(resolved: ResolvedCampaign, name: str,

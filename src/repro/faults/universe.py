@@ -24,14 +24,18 @@ identical fault list anywhere (in particular inside the worker processes
 of :mod:`repro.sim.pool`), so shards travel as ``(spec, index range)``
 instead of pickled fault objects.
 
-Each generator enumerates its faults exactly once, as *descriptor rows*
-``(maker, VectorSemantics)`` (:func:`descriptor_table`).  The lane
-descriptor is what the batched engine packs into masks, and ``maker``
-names the constructor that rebuilds the :class:`~repro.faults.base.Fault`
-from it (:func:`fault_from_descriptor`).  :meth:`UniverseSpec.build`
-maps every row to a fault up front; :meth:`FaultUniverse.from_spec`
-keeps the rows and builds a fault only when one is asked for, so a cold
-campaign names just the faults it missed.
+Each generator is a *part* of a :class:`DescriptorTable`: its sites
+(cells, coupled bit pairs, addresses) times one fixed record of faults
+per site.  Any universe index maps to a *descriptor row* ``(maker,
+VectorSemantics)`` by arithmetic: the lane descriptor, and ``maker``
+naming the constructor that rebuilds the
+:class:`~repro.faults.base.Fault` from it (:func:`fault_from_descriptor`).
+:meth:`UniverseSpec.build` maps every row to a fault up front;
+:meth:`FaultUniverse.from_spec` makes a row, and builds a fault, only
+when one is asked for, so a cold campaign names just the faults it
+missed.  The batched engine needs no row at all:
+:meth:`DescriptorTable.lane_plan` gives its lane models their inputs as
+whole columns, built per address and per coupled pair from the records.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import or_
 from typing import NamedTuple
 
 from repro.faults.base import BitLocation, Fault, VectorSemantics
@@ -155,14 +161,14 @@ def _union_spec(left: UniverseSpec | None,
 
 #: ``VectorSemantics`` rows are built with ``tuple.__new__`` and all
 #: eight fields positional: the NamedTuple constructor's argument
-#: parsing costs about three times as much, on every fault of a cold
-#: campaign.
+#: parsing costs about three times as much, on every row a caller asks
+#: for.
 _new = tuple.__new__
 
 
-class DescriptorTable(NamedTuple):
+class DescriptorTable:
     """A universe as lane descriptors: one ``(maker, semantics)`` row per
-    universe index.
+    universe index, made on demand.
 
     ``semantics`` equals what the fault at that index returns from
     :meth:`~repro.faults.base.Fault.vector_semantics`, and ``maker``
@@ -172,11 +178,19 @@ class DescriptorTable(NamedTuple):
     cell ``c``) and AF-D (address ``a`` reaching cell ``c`` instead of
     its own) both override address ``a`` with cell ``c``.
 
+    The table is a sequence of *parts*, one per generator call (or one
+    per run of rows a :meth:`take` picked).  A generator part computes
+    any row from its index, so :meth:`row` makes one row and
+    :attr:`rows` (every row, kept once made) is only for callers that
+    ask.  :meth:`class_tags` comes from the parts' records, and
+    :meth:`lane_plan` gives the batched engine its lane model inputs as
+    whole columns, both without a row.
+
     ``spans`` holds ``(start, stop, n, m)`` runs: rows ``[start, stop)``
-    come from a generator part recorded for an ``n x m`` memory, so
-    every one of them fits a stream at least that large
-    (:func:`repro.sim.campaign.partition_table` checks rows one by one
-    only in spans larger than the stream).
+    come from a part recorded for an ``n x m`` memory, so every one of
+    them fits a stream at least that large (a stream smaller than a
+    part has its rows checked one by one, see
+    :func:`repro.sim.campaign.partition_table`).
 
     >>> table = descriptor_table(UniverseSpec.call("decoder", n=4,
     ...                                            max_addresses=1))
@@ -188,44 +202,105 @@ class DescriptorTable(NamedTuple):
     ((0, 4, 4, 1),)
     """
 
-    rows: list[tuple[str, VectorSemantics]]
-    spans: tuple[tuple[int, int, int, int], ...]
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        starts, size = [], 0
+        for part in self.parts:
+            starts.append(size)
+            size += part.size
+        self._starts = starts
+        self._size = size
+        self._rows: list | None = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def spans(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple((start, start + part.size, part.n, part.m)
+                     for start, part in zip(self._starts, self.parts))
+
+    def row(self, index: int) -> tuple[str, VectorSemantics]:
+        """The ``(maker, semantics)`` row at ``index``, made from the
+        index alone."""
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError(f"descriptor index {index} out of range")
+        slot = bisect_right(self._starts, index) - 1
+        return self.parts[slot].row(index - self._starts[slot])
+
+    @property
+    def rows(self) -> list[tuple[str, VectorSemantics]]:
+        """Every row in universe order (made on first use, then kept)."""
+        if self._rows is None:
+            self._rows = []
+            for part in self.parts:
+                self._rows += part.rows()
+        return self._rows
 
     def class_tags(self) -> list[str]:
         """The fault class tag (``"SAF"``, ``"AF"``, ...) of every row."""
-        return [_CLASS_TAGS[maker] for maker, _semantics in self.rows]
+        tags: list[str] = []
+        for part in self.parts:
+            tags += part.class_tags()
+        return tags
 
     def take(self, indices) -> "DescriptorTable":
         """The rows at ``indices``, in that order, with their spans."""
-        starts = [span[0] for span in self.spans]
-        spans: list[tuple[int, int, int, int]] = []
-        for position, index in enumerate(indices):
-            _start, _stop, n, m = self.spans[bisect_right(starts, index) - 1]
-            if spans and spans[-1][2:] == (n, m):
-                spans[-1] = (spans[-1][0], position + 1, n, m)
+        runs: list[tuple[list, int, int]] = []
+        for index in indices:
+            slot = bisect_right(self._starts, index) - 1
+            part = self.parts[slot]
+            row = part.row(index - self._starts[slot])
+            if runs and runs[-1][1:] == (part.n, part.m):
+                runs[-1][0].append(row)
             else:
-                spans.append((position, position + 1, n, m))
-        return DescriptorTable([self.rows[index] for index in indices],
-                               tuple(spans))
+                runs.append(([row], part.n, part.m))
+        return DescriptorTable(_RowsPart(rows, n, m) for rows, n, m in runs)
+
+    def lane_plan(self, n: int, m: int = 1) -> "LanePlan | None":
+        """The lane plan of every row on an ``n x m`` stream, built from
+        the generator parts alone.
+
+        None when a part must be read row by row: rows a :meth:`take`
+        picked (a ``sample``), or a part recorded for a memory larger
+        than ``n x m``, whose rows need the per-row geometry check.
+        """
+        sizes: dict[str, int] = {}
+        segments: dict[str, list[tuple[int, int, int, _Part]]] = {}
+        for start, part in zip(self._starts, self.parts):
+            if not isinstance(part, _Part) or part.n > n or part.m > m:
+                return None
+            for kind, offsets in part.lane_offsets.items():
+                first, count = sizes.get(kind, 0), len(offsets) * part.sites
+                sizes[kind] = first + count
+                segments.setdefault(kind, []).append(
+                    (first, count, start, part))
+        return LanePlan(sizes, [], segments)
+
+
+def _strided(offsets, record: int, sites: int, base: int) -> list[int]:
+    """``[base + site * record + offset for site for offset]``, written
+    one offset column at a time."""
+    width = len(offsets)
+    indices = [0] * (width * sites)
+    for column, offset in enumerate(offsets):
+        first = base + offset
+        indices[column::width] = range(first, first + sites * record, record)
+    return indices
 
 
 def _concat_tables(tables) -> DescriptorTable:
-    rows: list[tuple[str, VectorSemantics]] = []
-    spans: list[tuple[int, int, int, int]] = []
-    for table in tables:
-        offset = len(rows)
-        rows.extend(table.rows)
-        spans.extend((start + offset, stop + offset, n, m)
-                     for start, stop, n, m in table.spans)
-    return DescriptorTable(rows, tuple(spans))
+    return DescriptorTable(part for table in tables for part in table.parts)
 
 
 def descriptor_table(spec: UniverseSpec) -> DescriptorTable:
-    """The descriptor rows of a spec's universe, in universe order.
+    """The descriptor table of a spec's universe, in universe order.
 
-    No :class:`~repro.faults.base.Fault` is built: each generator part
-    runs its one enumeration, ``union`` concatenates the parts' tables
-    and ``sample`` takes the parent's rows at the indices
+    No :class:`~repro.faults.base.Fault` and no row is built: each
+    generator part records its sites, ``union`` concatenates the parts'
+    tables and ``sample`` takes the parent's rows at the indices
     ``Random(0).sample(range(len(parent)), k)`` picks, exactly as
     :meth:`FaultUniverse.sample` does.
 
@@ -240,10 +315,9 @@ def descriptor_table(spec: UniverseSpec) -> DescriptorTable:
     if spec.generator == "sample":
         parent = descriptor_table(spec.parts[0])
         k = dict(spec.kwargs)["k"]
-        if k >= len(parent.rows):
+        if k >= len(parent):
             return parent
-        return parent.take(random.Random(0).sample(range(len(parent.rows)),
-                                                   k))
+        return parent.take(random.Random(0).sample(range(len(parent)), k))
     try:
         generate = _SPEC_GENERATORS[spec.generator]
     except KeyError:
@@ -251,10 +325,491 @@ def descriptor_table(spec: UniverseSpec) -> DescriptorTable:
             f"unknown universe generator {spec.generator!r} "
             f"(known: {sorted(_SPEC_GENERATORS)})"
         ) from None
-    kwargs = dict(spec.kwargs)
-    rows = generate(**kwargs)
-    return DescriptorTable(rows, ((0, len(rows), kwargs["n"],
-                                   kwargs.get("m", 1)),))
+    return DescriptorTable((generate(**dict(spec.kwargs)),))
+
+
+# -- lane plans ---------------------------------------------------------------
+#
+# A lane plan hands the batched engine each lane kind's model inputs
+# as whole columns.  Lane ``k`` of a pass over members ``[lo, hi)`` of a
+# kind carries member ``lo + k``; in a word-oriented pass its bit in
+# plane ``b`` sits at column bit ``b * (hi - lo) + k``.  The columns of
+# each kind (what ``repro.sim.batched``'s model of that kind takes, and
+# what its rows -> columns adapter makes from descriptors):
+#
+# ``stuck``       ``({cell: SA1 column}, {cell: SA0 column})``
+# ``transition``  ``({cell: TF-up column}, {cell: TF-down column})``
+# ``stuck-open``  ``({cell: open lanes}, sense lanes powering up at 1)``
+# ``retention``   ``{cell: {(retention, decay_to): lanes}}``
+# ``coupling``    ``{aggressor cell: [(victim cell, plane shift,
+#                 rise_inv, rise_set, rise_clr, fall_inv, fall_set,
+#                 fall_clr)]}``: one entry per (aggressor cell, victim
+#                 cell, plane delta), its six masks in the victim plane
+#                 (:func:`coupling_slot` orders them)
+# ``state``       ``[(aggressor cell, victim cell, plane shift, state1,
+#                 state0, force1, force0)]``: one entry per (aggressor
+#                 cell, aggressor bit, victim cell, victim bit), the
+#                 state masks in the aggressor plane, the force masks
+#                 in the victim plane
+# ``bridge``      ``{(cell_a, cell_b, wired_or): lanes}``
+# ``npsf``        ``{(victim, ((cell, value), ...), force_to): lanes}``
+# ``decoder``     ``{((address, cells), ...): lanes}``
+#
+# "lanes" is a one-plane lane mask; a "column" has its lane bits in the
+# faulty bit's plane; a "plane shift" is the aggressor -> victim plane
+# delta times the pass's lane count.  Entries and keys come in order of
+# their first lane.
+
+
+def coupling_slot(rising: bool, value) -> int:
+    """The mask slot of a coupling fault in its column entry: edge
+    (rise 0, fall 3) plus effect (invert 0, set 1, clear 2)."""
+    return (0 if rising else 3) + (0 if value is None else 1 if value else 2)
+
+
+def _new_columns(kind: str):
+    """An empty accumulator for a pass's columns of ``kind``.  Coupling
+    and CFst entries come with a ``{key: position}`` index that merges a
+    second entry of one key into the first."""
+    if kind in ("coupling", "state"):
+        return {} if kind == "coupling" else [], {}
+    if kind in ("stuck", "transition"):
+        return {}, {}
+    if kind == "stuck-open":
+        return {}, 0  # no generator row powers its sense latch up at 1
+    return {}
+
+
+class LanePlan(NamedTuple):
+    """The lane classes of a universe on one stream geometry.
+
+    Lane ``k`` of a pass over members ``[lo, hi)`` of a kind carries the
+    kind's member ``lo + k``, and members follow universe order.
+    ``sizes[kind]`` counts a kind's members and ``fallback`` lists the
+    universe indices no lane model takes.  Built from a spec's generator
+    parts (:meth:`DescriptorTable.lane_plan`), it keeps ``segments``,
+    ``(first member, members, universe start, part)`` per part, and
+    gives each pass its model inputs through :meth:`columns`.  A
+    universe read row by row gets a plan with the same interface from
+    the engine's rows -> columns adapter
+    (:class:`repro.sim.batched.RowPlan`).
+
+    >>> plan = descriptor_table(UniverseSpec.call(
+    ...     "single_cell", n=2, m=1, classes=("SAF",),
+    ...     retention=64)).lane_plan(2)
+    >>> plan.sizes, plan.members("stuck")
+    ({'stuck': 4}, [0, 1, 2, 3])
+    >>> plan.columns("stuck", 0, 4)   # (SA1, SA0) lanes per cell
+    ({0: 2, 1: 8}, {0: 1, 1: 4})
+    >>> plan.columns("stuck", 1, 3)   # a pass cut inside cell 0
+    ({0: 1}, {1: 2})
+    >>> verdicts = [None] * 4
+    >>> plan.unpack("stuck", 1, 3, 0b10, verdicts)   # lane 1 detected
+    >>> verdicts
+    [None, False, True, None]
+    """
+
+    sizes: dict[str, int]
+    fallback: list[int]
+    segments: dict[str, list[tuple[int, int, int, "_Part"]]]
+
+    def members(self, kind: str) -> list[int]:
+        """The universe indices of a kind's members, in lane order."""
+        indices: list[int] = []
+        for _first, _count, start, part in self.segments[kind]:
+            indices += _strided(part.lane_offsets[kind], len(part.record),
+                                part.sites, start)
+        return indices
+
+    def columns(self, kind: str, lo: int, hi: int):
+        """The columns of one pass over members ``[lo, hi)`` of
+        ``kind`` (see the table above this class)."""
+        lanes = hi - lo
+        parts = [(max(lo, first), min(hi, first + count), first, part)
+                 for first, count, _start, part in self.segments[kind]
+                 if first < hi and lo < first + count]
+        columns = _new_columns(kind)
+        for low, high, first, part in parts:
+            part.fill(kind, low - first, high - first, low - lo, lanes,
+                      columns)
+        return columns[0] if kind in ("coupling", "state") else columns
+
+    def unpack(self, kind: str, lo: int, hi: int, detected: int,
+               verdicts: list) -> None:
+        """Write lane ``k`` of a pass's ``detected`` mask to the verdict
+        of member ``lo + k``.  One binary rendering of the mask, not a
+        shift per lane (a shift copies the whole wide int), then one
+        slice assignment per record offset."""
+        width = hi - lo
+        bits = format(detected, f"0{width}b")[::-1][:width]
+        for first, count, start, part in self.segments[kind]:
+            low, high = max(lo, first), min(hi, first + count)
+            if low < high:
+                part.unpack(kind, low - first, high - first,
+                            bits[low - lo:high - lo], start, verdicts)
+
+
+def _site_units(lo: int, hi: int, width: int, units, lane: int,
+                cut=None):
+    """``(site, units, shift)`` for every site holding members ``[lo,
+    hi)`` of a kind with ``width`` members per site, in member order.
+
+    ``units`` are the masks of one site's members, member ``k`` at bit
+    ``k`` of one plane.  ``shift`` moves them to the site's lanes in a
+    pass whose lane ``lane`` carries member ``lo``.  The whole sites
+    come out of a ``zip`` of ranges.  A site the range cuts gets
+    ``cut(first, last)``: the units of its members ``first..last-1``,
+    moved down to the first of them (by default ``units`` masked).
+    """
+    if cut is None:
+        def cut(first: int, last: int) -> list[int]:
+            keep = (1 << last) - (1 << first)
+            return [(unit & keep) >> first for unit in units]
+
+    def cut_site(site: int):
+        base = site * width
+        first, last = max(lo - base, 0), min(hi - base, width)
+        return site, cut(first, last), lane + base + first - lo
+
+    first, last = -(-lo // width), hi // width  # the whole sites
+    if first > last:  # [lo, hi) lies inside one site
+        return iter([cut_site(lo // width)])
+    start = lane + first * width - lo
+    whole = zip(range(first, last), repeat(units),
+                range(start, start + (last - first) * width, width))
+    before = [cut_site(first - 1)] if lo % width else []
+    after = [cut_site(last)] if hi % width else []
+    return chain(before, whole, after)
+
+
+def _merge_entry(entries: list, position: int, entry: tuple,
+                 head: int) -> None:
+    """OR ``entry``'s masks (its fields from ``head`` on) into the entry
+    of the same key at ``entries[position]``."""
+    old = entries[position]
+    entries[position] = (*old[:head], *map(or_, old[head:], entry[head:]))
+
+
+# -- generator parts ----------------------------------------------------------
+#
+# Every generator emits a fixed *record* of rows per *site* (a cell, a
+# coupled bit pair, a decoder address, an NPSF victim): row ``i`` of a
+# part is template ``i % len(record)`` of site ``i // len(record)``.  So
+# a row is made from its index alone (``row``), a kind's members are a
+# stride pattern over the records (``lane_offsets``), and a lane model's
+# masks are one record's pattern shifted to each site (``fill``).
+
+
+class _Part:
+    """One generator call: ``sites`` records of ``record`` makers.
+
+    Subclasses give ``_row(site, slot)`` and ``fill(kind, lo, hi, lane,
+    lanes, columns)``, which ORs members ``[lo, hi)`` of ``kind`` (counted
+    within this part) into ``columns`` from lane ``lane`` of a
+    ``lanes``-wide pass on.
+    """
+
+    def __init__(self, n: int, m: int, sites: int, record: tuple[str, ...]):
+        self.n, self.m = n, m
+        self.sites = max(sites, 0)
+        self.record = record
+        self.size = self.sites * len(record)
+        offsets: dict[str, list[int]] = {}
+        for offset, maker in enumerate(record):
+            offsets.setdefault(_KINDS[maker], []).append(offset)
+        #: kind -> positions of the kind's rows within one record
+        self.lane_offsets = offsets if self.sites else {}
+
+    def row(self, index: int) -> tuple[str, VectorSemantics]:
+        site, slot = divmod(index, len(self.record))
+        return self._row(site, slot)
+
+    def unpack(self, kind: str, lo: int, hi: int, bits: str, start: int,
+               verdicts: list) -> None:
+        """Write ``bits[k]``, the verdict of member ``lo + k`` of
+        ``kind``, to ``verdicts``; the part's row 0 is universe index
+        ``start``.  The members at one record offset sit ``record`` rows
+        apart, so each offset takes one slice assignment."""
+        offsets = self.lane_offsets[kind]
+        width, record = len(offsets), len(self.record)
+        for column, offset in enumerate(offsets):
+            member = lo + (column - lo) % width  # the first in range
+            if member >= hi:
+                continue
+            index = start + member // width * record + offset
+            count = (hi - 1 - member) // width + 1
+            verdicts[index:index + (count - 1) * record + 1:record] = \
+                map("1".__eq__, bits[member - lo::width])
+
+    def rows(self) -> list[tuple[str, VectorSemantics]]:
+        record = range(len(self.record))
+        return [self._row(site, slot) for site in range(self.sites)
+                for slot in record]
+
+    def class_tags(self) -> list[str]:
+        return [_CLASS_TAGS[maker] for maker in self.record] * self.sites
+
+
+class _RowsPart:
+    """Explicit rows (a :meth:`DescriptorTable.take` run)."""
+
+    def __init__(self, rows: list, n: int, m: int):
+        self._rows = rows
+        self.n, self.m = n, m
+        self.size = len(rows)
+
+    def row(self, index: int) -> tuple[str, VectorSemantics]:
+        return self._rows[index]
+
+    def rows(self) -> list[tuple[str, VectorSemantics]]:
+        return self._rows
+
+    def class_tags(self) -> list[str]:
+        return [_CLASS_TAGS[maker] for maker, _semantics in self._rows]
+
+
+class _SingleCellPart(_Part):
+    """Per cell: SAF and TF rows per bit, then SOF and DRF."""
+
+    def __init__(self, n: int, m: int = 1,
+                 classes=("SAF", "TF", "SOF", "DRF"), retention: int = 64):
+        classes = _normalize_classes(classes)
+        if "DRF" in classes and retention < 1:
+            raise ValueError(f"retention must be >= 1 cycle, got {retention}")
+        self.retention = retention
+        #: (maker, bit, value or rising) per record slot
+        self._templates = []
+        for bit in range(m):
+            if "SAF" in classes:
+                self._templates += [("SAF", bit, 0), ("SAF", bit, 1)]
+            if "TF" in classes:
+                self._templates += [("TF", bit, True), ("TF", bit, False)]
+        self._templates += [(maker, 0, 0) for maker in ("SOF", "DRF")
+                            if maker in classes]
+        super().__init__(n, m, n, tuple(t[0] for t in self._templates))
+
+    def _row(self, cell: int, slot: int) -> tuple[str, VectorSemantics]:
+        maker, bit, arg = self._templates[slot]
+        vs = VectorSemantics
+        if maker == "SAF":
+            fields = ("stuck", cell, bit, arg, None, None, None, ())
+        elif maker == "TF":
+            fields = ("transition", cell, bit, None, arg, None, None, ())
+        elif maker == "SOF":
+            fields = ("stuck-open", cell, 0, 0, None, None, None, ())
+        else:
+            fields = ("retention", cell, 0, 0, None, None, None,
+                      (self.retention,))
+        return maker, _new(vs, fields)
+
+    def fill(self, kind, lo, hi, lane, lanes, columns):
+        if kind == "stuck-open":  # one lane per cell
+            open_lanes = columns[0]
+            for cell in range(lo, hi):
+                open_lanes[cell] = open_lanes.get(cell, 0) \
+                    | 1 << (lane + cell - lo)
+            return
+        if kind == "retention":
+            key = (self.retention, 0)
+            for cell in range(lo, hi):
+                per_cell = columns.setdefault(cell, {})
+                per_cell[key] = per_cell.get(key, 0) | 1 << (lane + cell - lo)
+            return
+        # stuck / transition: member 2b + v of a cell sits in plane b;
+        # v = 1 is SA1 / TF-down, which feeds the first dict of stuck
+        # columns and the second of transition columns.
+        ones = 1 if kind == "stuck" else 0
+
+        def cut(first: int, last: int) -> list[int]:
+            # A cell cut by the pass: its members' bits one by one (the
+            # pass may be narrower than the cell's 2m members).
+            units = [0, 0]
+            for member in range(first, last):
+                bit, v = divmod(member, 2)
+                units[v != ones] |= 1 << (bit * lanes + member - first)
+            return units
+
+        low = sum(1 << (b * lanes + 2 * b) for b in range(self.m))
+        units = [low << 1, low] if ones else [low, low << 1]
+        first, second = columns
+        for cell, (one, two), shift in _site_units(lo, hi, 2 * self.m,
+                                                   units, lane, cut):
+            if one:
+                first[cell] = first.get(cell, 0) | one << shift
+            if two:
+                second[cell] = second.get(cell, 0) | two << shift
+
+
+#: The ten faults of one aggressor -> victim bit pair, in enumeration
+#: order: ``(maker, kind, value, rising)``.  CFin/CFid fire on the
+#: aggressor edge ``rising``; for CFst ``rising`` carries the aggressor
+#: state (True = holds 1).  ``value`` is the forced victim value (None
+#: inverts).
+_PAIR_ROWS = (
+    ("CFin", "coupling", None, True), ("CFin", "coupling", None, False),
+    ("CFid", "coupling", 0, True), ("CFid", "coupling", 1, True),
+    ("CFid", "coupling", 0, False), ("CFid", "coupling", 1, False),
+    ("CFst", "state", 0, False), ("CFst", "state", 1, False),
+    ("CFst", "state", 0, True), ("CFst", "state", 1, True),
+)
+
+
+class _PairPart(_Part):
+    """Per coupled bit pair ``(a_cell, a_bit, v_cell, v_bit)``: the
+    :data:`_PAIR_ROWS` of the requested classes."""
+
+    def __init__(self, n: int, m: int, pairs: list, classes):
+        classes = _normalize_classes(classes)
+        self._pairs = pairs
+        self._templates = [row for row in _PAIR_ROWS if row[0] in classes]
+        super().__init__(n, m, len(pairs),
+                         tuple(row[0] for row in self._templates))
+
+    def _row(self, site: int, slot: int) -> tuple[str, VectorSemantics]:
+        a_cell, a_bit, v_cell, v_bit = self._pairs[site]
+        maker, kind, value, rising = self._templates[slot]
+        return maker, _new(VectorSemantics, (kind, a_cell, a_bit, value,
+                                             rising, v_cell, v_bit, ()))
+
+    def fill(self, kind, lo, hi, lane, lanes, columns):
+        templates = [row for row in self._templates if row[1] == kind]
+        # One pair's lanes per mask slot, member k at bit k: coupling
+        # slots by (edge, effect), CFst state1, state0, force1, force0.
+        if kind == "coupling":
+            units = [0] * 6
+            for member, (_maker, _kind, value, rising) in \
+                    enumerate(templates):
+                units[coupling_slot(rising, value)] |= 1 << member
+        else:
+            units = [0] * 4
+            for member, (_maker, _kind, value, rising) in \
+                    enumerate(templates):
+                units[0 if rising else 1] |= 1 << member
+                units[2 if value else 3] |= 1 << member
+        pairs = self._pairs
+        sites = _site_units(lo, hi, len(templates), units, lane)
+        if kind == "coupling":  # every mask in the victim plane
+            table, where = columns
+            for site, (u0, u1, u2, u3, u4, u5), shift in sites:
+                a_cell, a_bit, v_cell, v_bit = pairs[site]
+                delta = v_bit - a_bit
+                at = shift + v_bit * lanes
+                entry = (v_cell, delta * lanes, u0 << at, u1 << at,
+                         u2 << at, u3 << at, u4 << at, u5 << at)
+                key = (a_cell, v_cell, delta)
+                found = where.get(key)
+                if found is not None:
+                    _merge_entry(*found, entry, 2)
+                    continue
+                entries = table.get(a_cell)
+                if entries is None:
+                    entries = table[a_cell] = []
+                where[key] = (entries, len(entries))
+                entries.append(entry)
+            return
+        entries, where = columns  # state masks in the aggressor plane
+        for site, (u0, u1, u2, u3), shift in sites:
+            a_cell, a_bit, v_cell, v_bit = pairs[site]
+            at, to = shift + a_bit * lanes, shift + v_bit * lanes
+            entry = (a_cell, v_cell, (v_bit - a_bit) * lanes, u0 << at,
+                     u1 << at, u2 << to, u3 << to)
+            key = (a_cell, a_bit, v_cell, v_bit)
+            position = where.get(key)
+            if position is not None:
+                _merge_entry(entries, position, entry, 3)
+                continue
+            where[key] = len(entries)
+            entries.append(entry)
+
+
+class _BridgingPart(_Part):
+    """Per adjacent cell pair: the wired-AND then the wired-OR bridge."""
+
+    def __init__(self, n: int):
+        if n < 2:
+            raise ValueError("bridging faults need at least two cells")
+        super().__init__(n, 1, n - 1, ("BF", "BF"))
+
+    def _row(self, cell: int, wired_or: int) -> tuple[str, VectorSemantics]:
+        # ``value`` is the wired rule: 0 = wired-AND, 1 = wired-OR.
+        return "BF", _new(VectorSemantics, ("bridge", cell, 0, wired_or,
+                                            None, cell + 1, None, ()))
+
+    def fill(self, kind, lo, hi, lane, lanes, columns):
+        for cell, (wired_and, wired_or), shift in _site_units(
+                lo, hi, 2, (1, 2), lane):
+            if wired_and:
+                key = (cell, cell + 1, 0)
+                columns[key] = columns.get(key, 0) | wired_and << shift
+            if wired_or:
+                key = (cell, cell + 1, 1)
+                columns[key] = columns.get(key, 0) | wired_or << shift
+
+
+class _DecoderPart(_Part):
+    """Per sampled address: AF-A, AF-B, AF-C and AF-D."""
+
+    def __init__(self, n: int, max_addresses: int = 8, seed: int = 0):
+        if n < 2:
+            raise ValueError("decoder faults need at least two addresses")
+        addresses = list(range(n))
+        if n > max_addresses:
+            addresses = sorted(random.Random(seed).sample(addresses,
+                                                          max_addresses))
+        self._addresses = addresses
+        super().__init__(n, 1, len(addresses),
+                         ("AF-A", "AF-B", "AF-C", "AF-D"))
+
+    def _overrides(self, site: int, slot: int) -> tuple[int, tuple]:
+        """``(cell, ((address, cells),))`` of one row: AF-A addr reaches
+        no cell; AF-B its cell is redirected to ``other``; AF-C it
+        reaches ``other`` too; AF-D ``other`` reaches addr's cell instead
+        of its own."""
+        addr = self._addresses[site]
+        other = (addr + 1) % self.n
+        if slot == 3:
+            return other, ((other, (addr,)),)
+        return addr, ((addr, ((), (other,), (addr, other))[slot]),)
+
+    def _row(self, site: int, slot: int) -> tuple[str, VectorSemantics]:
+        cell, extra = self._overrides(site, slot)
+        return self.record[slot], _new(VectorSemantics, (
+            "decoder", cell, 0, None, None, None, None, extra))
+
+    def fill(self, kind, lo, hi, lane, lanes, columns):
+        for member in range(lo, hi):
+            key = self._overrides(*divmod(member, 4))[1]
+            columns[key] = columns.get(key, 0) | 1 << (lane + member - lo)
+
+
+class _NpsfPart(_Part):
+    """Per sampled victim: both forces of all four neighbour patterns."""
+
+    def __init__(self, n: int, max_victims: int = 8, seed: int = 0):
+        if n < 3:
+            raise ValueError("NPSF needs at least three cells")
+        victims = list(range(1, n - 1))
+        if len(victims) > max_victims:
+            victims = sorted(random.Random(seed).sample(victims,
+                                                        max_victims))
+        self._victims = victims
+        super().__init__(n, 1, len(victims), ("NPSF",) * 8)
+
+    def _key(self, site: int, slot: int) -> tuple[int, tuple, int]:
+        """``(victim, pattern, force_to)``: slot ``4 p0 + 2 p1 + f``."""
+        victim = self._victims[site]
+        return (victim, ((victim - 1, slot >> 2), (victim + 1, slot >> 1 & 1)),
+                slot & 1)
+
+    def _row(self, site: int, slot: int) -> tuple[str, VectorSemantics]:
+        victim, pattern, force_to = self._key(site, slot)
+        return "NPSF", _new(VectorSemantics, ("npsf", victim, 0, force_to,
+                                              None, None, None, pattern))
+
+    def fill(self, kind, lo, hi, lane, lanes, columns):
+        for member in range(lo, hi):
+            key = self._key(*divmod(member, 8))
+            columns[key] = columns.get(key, 0) | 1 << (lane + member - lo)
 
 
 def _coupling_sites(semantics: VectorSemantics) -> tuple[BitLocation,
@@ -316,6 +871,13 @@ _MAKERS = {
 
 _CLASS_TAGS = {maker: entry[0] for maker, entry in _MAKERS.items()}
 
+#: Descriptor maker -> the lane kind of its rows.
+_KINDS = {"SAF": "stuck", "TF": "transition", "SOF": "stuck-open",
+          "DRF": "retention", "CFin": "coupling", "CFid": "coupling",
+          "CFst": "state", "BF": "bridge", "NPSF": "npsf",
+          "AF-A": "decoder", "AF-B": "decoder", "AF-C": "decoder",
+          "AF-D": "decoder"}
+
 
 def fault_from_descriptor(maker: str, semantics: VectorSemantics) -> Fault:
     """Build the fault one descriptor row stands for.
@@ -372,7 +934,7 @@ class FaultUniverse:
                     complete: bool = False) -> FaultUniverse:
         universe = cls.__new__(cls)
         universe._faults = faults if faults is not None \
-            else [None] * len(table.rows)
+            else [None] * len(table)
         universe.spec = spec
         universe._table = table
         universe._complete = complete
@@ -387,7 +949,7 @@ class FaultUniverse:
     def _fault(self, index: int) -> Fault:
         fault = self._faults[index]
         if fault is None:
-            fault = fault_from_descriptor(*self._table.rows[index])
+            fault = fault_from_descriptor(*self._table.row(index))
             self._faults[index] = fault
         return fault
 
@@ -398,7 +960,7 @@ class FaultUniverse:
         fault = self._faults[index]
         if fault is not None:
             return fault.name
-        maker, semantics = self._table.rows[index]
+        maker, semantics = self._table.row(index)
         return _MAKERS[maker][2](semantics)
 
     def _all(self) -> list[Fault]:
@@ -520,45 +1082,13 @@ def single_cell_universe(
         retention=retention).build()
 
 
-def _single_cell_rows(n: int, m: int = 1,
-                      classes=("SAF", "TF", "SOF", "DRF"),
-                      retention: int = 64) -> list:
-    classes = _normalize_classes(classes)
-    saf, tf = "SAF" in classes, "TF" in classes
-    sof, drf = "SOF" in classes, "DRF" in classes
-    if drf and retention < 1:
-        raise ValueError(f"retention must be >= 1 cycle, got {retention}")
-    vs = VectorSemantics
-    rows: list = []
-    add = rows.append
-    for cell in range(n):
-        for bit in range(m):
-            if saf:
-                add(("SAF", _new(vs, ("stuck", cell, bit, 0, None, None,
-                                      None, ()))))
-                add(("SAF", _new(vs, ("stuck", cell, bit, 1, None, None,
-                                      None, ()))))
-            if tf:
-                add(("TF", _new(vs, ("transition", cell, bit, None, True,
-                                     None, None, ()))))
-                add(("TF", _new(vs, ("transition", cell, bit, None, False,
-                                     None, None, ()))))
-        if sof:
-            add(("SOF", _new(vs, ("stuck-open", cell, 0, 0, None, None,
-                                  None, ()))))
-        if drf:
-            add(("DRF", _new(vs, ("retention", cell, 0, 0, None, None,
-                                  None, (retention,)))))
-    return rows
-
-
 def _cell_pairs(n: int, extra_random: int, rng: random.Random) -> list[tuple[int, int]]:
     """Ordered aggressor/victim cell pairs: all adjacent + random sample."""
     pairs = []
     for i in range(n - 1):
         pairs.append((i, i + 1))
         pairs.append((i + 1, i))
-    seen = set(pairs)
+    seen = set(pairs) if extra_random > 0 else set()
     attempts = 0
     while len(pairs) - 2 * (n - 1) < extra_random and attempts < 50 * extra_random:
         attempts += 1
@@ -569,33 +1099,6 @@ def _cell_pairs(n: int, extra_random: int, rng: random.Random) -> list[tuple[int
         seen.add((a, v))
         pairs.append((a, v))
     return pairs
-
-
-#: The ten faults of one aggressor -> victim bit pair, in enumeration
-#: order: ``(maker, kind, value, rising)``.  CFin/CFid fire on the
-#: aggressor edge ``rising``; for CFst ``rising`` carries the aggressor
-#: state (True = holds 1).  ``value`` is the forced victim value (None
-#: inverts).
-_PAIR_ROWS = (
-    ("CFin", "coupling", None, True), ("CFin", "coupling", None, False),
-    ("CFid", "coupling", 0, True), ("CFid", "coupling", 1, True),
-    ("CFid", "coupling", 0, False), ("CFid", "coupling", 1, False),
-    ("CFst", "state", 0, False), ("CFst", "state", 1, False),
-    ("CFst", "state", 0, True), ("CFst", "state", 1, True),
-)
-
-
-def _pair_templates(classes: tuple[str, ...]) -> list:
-    return [row for row in _PAIR_ROWS if row[0] in classes]
-
-
-def _pair_rows(templates: list, a_cell: int, a_bit: int, v_cell: int,
-               v_bit: int) -> list:
-    """The rows of one aggressor -> victim bit pair."""
-    vs = VectorSemantics
-    return [(maker, _new(vs, (kind, a_cell, a_bit, value, rising, v_cell,
-                              v_bit, ())))
-            for maker, kind, value, rising in templates]
 
 
 def coupling_universe(
@@ -615,18 +1118,18 @@ def coupling_universe(
         extra_random_pairs=extra_random_pairs, seed=seed).build()
 
 
-def _coupling_rows(n: int, m: int = 1, classes=("CFin", "CFid", "CFst"),
-                   extra_random_pairs: int = 0, seed: int = 0) -> list:
+def _coupling_part(n: int, m: int = 1, classes=("CFin", "CFid", "CFst"),
+                   extra_random_pairs: int = 0, seed: int = 0) -> _PairPart:
     if n < 2:
         raise ValueError("coupling faults need at least two cells")
-    templates = _pair_templates(_normalize_classes(classes))
     rng = random.Random(seed)
-    rows: list = []
-    for a_cell, v_cell in _cell_pairs(n, extra_random_pairs, rng):
-        a_bit = rng.randrange(m) if m > 1 else 0
-        v_bit = rng.randrange(m) if m > 1 else 0
-        rows += _pair_rows(templates, a_cell, a_bit, v_cell, v_bit)
-    return rows
+    cells = _cell_pairs(n, extra_random_pairs, rng)
+    if m > 1:  # one aggressor and one victim bit per pair, drawn in order
+        pairs = [(a_cell, rng.randrange(m), v_cell, rng.randrange(m))
+                 for a_cell, v_cell in cells]
+    else:
+        pairs = [(a_cell, 0, v_cell, 0) for a_cell, v_cell in cells]
+    return _PairPart(n, m, pairs, classes)
 
 
 def decoder_universe(n: int, max_addresses: int = 8, seed: int = 0) -> FaultUniverse:
@@ -638,32 +1141,6 @@ def decoder_universe(n: int, max_addresses: int = 8, seed: int = 0) -> FaultUniv
     """
     return UniverseSpec.call("decoder", n=n, max_addresses=max_addresses,
                              seed=seed).build()
-
-
-def _decoder_rows(n: int, max_addresses: int = 8, seed: int = 0) -> list:
-    if n < 2:
-        raise ValueError("decoder faults need at least two addresses")
-    rng = random.Random(seed)
-    addresses = list(range(n))
-    if n > max_addresses:
-        addresses = sorted(rng.sample(addresses, max_addresses))
-    vs = VectorSemantics
-    rows: list = []
-    add = rows.append
-    for addr in addresses:
-        other = (addr + 1) % n
-        # AF-A addr reaches no cell; AF-B its cell is redirected to
-        # ``other``; AF-C it reaches ``other`` too; AF-D ``other``
-        # reaches addr's cell instead of its own.
-        add(("AF-A", _new(vs, ("decoder", addr, 0, None, None, None, None,
-                               ((addr, ()),)))))
-        add(("AF-B", _new(vs, ("decoder", addr, 0, None, None, None, None,
-                               ((addr, (other,)),)))))
-        add(("AF-C", _new(vs, ("decoder", addr, 0, None, None, None, None,
-                               ((addr, (addr, other)),)))))
-        add(("AF-D", _new(vs, ("decoder", other, 0, None, None, None, None,
-                               ((other, (addr,)),)))))
-    return rows
 
 
 def intra_word_universe(
@@ -682,40 +1159,22 @@ def intra_word_universe(
         max_cells=max_cells, seed=seed).build()
 
 
-def _intra_word_rows(n: int, m: int, classes=("CFin", "CFid", "CFst"),
-                     max_cells: int = 8, seed: int = 0) -> list:
+def _intra_word_part(n: int, m: int, classes=("CFin", "CFid", "CFst"),
+                     max_cells: int = 8, seed: int = 0) -> _PairPart:
     if m < 2:
         raise ValueError("intra-word faults need word width m >= 2")
-    templates = _pair_templates(_normalize_classes(classes))
-    rng = random.Random(seed)
     cells = list(range(n))
     if n > max_cells:
-        cells = sorted(rng.sample(cells, max_cells))
+        cells = sorted(random.Random(seed).sample(cells, max_cells))
     bit_pairs = [(b, b + 1) for b in range(m - 1)]
     bit_pairs += [(b + 1, b) for b in range(m - 1)]
-    rows: list = []
-    for cell in cells:
-        for a_bit, v_bit in bit_pairs:
-            rows += _pair_rows(templates, cell, a_bit, cell, v_bit)
-    return rows
+    return _PairPart(n, m, [(cell, a_bit, cell, v_bit) for cell in cells
+                            for a_bit, v_bit in bit_pairs], classes)
 
 
 def bridging_universe(n: int) -> FaultUniverse:
     """Wired-AND and wired-OR bridges between all adjacent cell pairs."""
     return UniverseSpec.call("bridging", n=n).build()
-
-
-def _bridging_rows(n: int) -> list:
-    if n < 2:
-        raise ValueError("bridging faults need at least two cells")
-    vs = VectorSemantics
-    rows: list = []
-    add = rows.append
-    for i in range(n - 1):
-        # ``value`` is the wired rule: 0 = wired-AND, 1 = wired-OR.
-        add(("BF", _new(vs, ("bridge", i, 0, 0, None, i + 1, None, ()))))
-        add(("BF", _new(vs, ("bridge", i, 0, 1, None, i + 1, None, ()))))
-    return rows
 
 
 def npsf_universe(n: int, max_victims: int = 8, seed: int = 0) -> FaultUniverse:
@@ -731,26 +1190,6 @@ def npsf_universe(n: int, max_victims: int = 8, seed: int = 0) -> FaultUniverse:
     """
     return UniverseSpec.call("npsf", n=n, max_victims=max_victims,
                              seed=seed).build()
-
-
-def _npsf_rows(n: int, max_victims: int = 8, seed: int = 0) -> list:
-    if n < 3:
-        raise ValueError("NPSF needs at least three cells")
-    rng = random.Random(seed)
-    victims = list(range(1, n - 1))
-    if len(victims) > max_victims:
-        victims = sorted(rng.sample(victims, max_victims))
-    vs = VectorSemantics
-    rows: list = []
-    add = rows.append
-    for victim in victims:
-        for p0 in (0, 1):
-            for p1 in (0, 1):
-                pattern = ((victim - 1, p0), (victim + 1, p1))
-                for force_to in (0, 1):
-                    add(("NPSF", _new(vs, ("npsf", victim, 0, force_to,
-                                           None, None, None, pattern))))
-    return rows
 
 
 def standard_universe_spec(n: int, m: int = 1, seed: int = 0) -> UniverseSpec:
@@ -804,15 +1243,15 @@ def standard_universe(n: int, m: int = 1, seed: int = 0) -> FaultUniverse:
     return standard_universe_spec(n, m, seed).build()
 
 
-# Spec-resolvable generators (see UniverseSpec): name -> the descriptor
-# enumeration behind the public generator of that name.
+# Spec-resolvable generators (see UniverseSpec): name -> the part
+# (the sites and record) behind the public generator of that name.
 # standard_universe is omitted on purpose: it already decomposes into a
 # union spec of these.
 _SPEC_GENERATORS = {
-    "single_cell": _single_cell_rows,
-    "coupling": _coupling_rows,
-    "decoder": _decoder_rows,
-    "intra_word": _intra_word_rows,
-    "bridging": _bridging_rows,
-    "npsf": _npsf_rows,
+    "single_cell": _SingleCellPart,
+    "coupling": _coupling_part,
+    "decoder": _DecoderPart,
+    "intra_word": _intra_word_part,
+    "bridging": _BridgingPart,
+    "npsf": _NpsfPart,
 }

@@ -181,7 +181,7 @@ class PackedMemoryArray:
     """
 
     __slots__ = ("_n", "_lanes", "_m", "_ones", "_full", "_replicate",
-                 "words")
+                 "_folds", "words")
 
     def __init__(self, n: int, lanes: int, m: int = 1):
         if n < 1:
@@ -198,6 +198,15 @@ class PackedMemoryArray:
         #: plane-replication factor: lane rows (< 2**lanes) multiplied by
         #: it spread carry-free into every plane.
         self._replicate = sum(1 << (bit * lanes) for bit in range(m))
+        #: the halving steps of :meth:`lane_mask`: ``(shift, low)`` folds
+        #: the planes from ``shift`` up onto the ``low`` ones.
+        folds = []
+        planes = m
+        while planes > 1:
+            kept = (planes + 1) // 2
+            folds.append((kept * lanes, (1 << (kept * lanes)) - 1))
+            planes = kept
+        self._folds = tuple(folds)
         self.words: list[int] = [0] * n
 
     # -- geometry --------------------------------------------------------------
@@ -264,16 +273,17 @@ class PackedMemoryArray:
         """Collapse a column to a lane mask: lane *k* is set when any
         plane of lane *k* is set in ``column`` (the detection fold).
 
+        Folds by halving: each step ORs the upper planes onto the lower
+        half, so ``m`` planes take about ``log2(m)`` steps that copy
+        about ``3m`` planes in all (a plane-by-plane fold re-shifts every
+        remaining plane per plane, about ``m**2 / 2``).
+
         >>> PackedMemoryArray(2, lanes=4, m=2).lane_mask(0b0001_1000)
         9
         """
-        lanes = self._lanes
-        mask = column & self._ones
-        rest = column >> lanes
-        while rest:
-            mask |= rest & self._ones
-            rest >>= lanes
-        return mask
+        for shift, low in self._folds:
+            column = (column & low) | (column >> shift)
+        return column & self._ones
 
     def spread(self, row: int) -> int:
         """The column with ``row`` replicated into every plane (the mask

@@ -54,8 +54,13 @@ geometry fall back per fault to
 :func:`run_campaign_batched` accepts *any* universe and returns verdicts
 identical to the scalar engines, in universe order.
 
-Lane models build their masks as plain ints at construction time (the
-pass's lane count is the plane stride); masks that depend on the
+Each built-in lane model takes its pass's *columns* -- per-address and
+per-pair lane masks as plain ints, the pass's lane count being the
+plane stride (see :class:`repro.faults.universe.LanePlan`).  A universe
+made from a spec builds them straight from its generator records; any
+other universe's descriptors go through the rows -> columns adapter
+below (``_ROW_COLUMNS``, read pass by pass through :class:`RowPlan`),
+so there is one constructor per model.  Masks that depend on the
 memory's geometry (whole-cell selects, broadcast values) are finished
 in ``install`` through the memory's helper surface (``spread`` /
 ``broadcast`` / ...).
@@ -64,8 +69,10 @@ in ``install`` through the memory's helper surface (``spread`` /
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 from repro.faults.base import Fault, VectorSemantics
+from repro.faults.universe import LanePlan, coupling_slot
 from repro.memory.packed import LaneFaultModel, PackedMemoryArray
 from repro.sim.campaign import (
     POOL_FAILURES,
@@ -84,7 +91,8 @@ from repro.sim.campaign import (
 from repro.sim.ir import OpStream
 from repro.sim.pool import WorkerPool, shared_pool
 
-__all__ = ["run_campaign_batched", "build_lane_model", "register_lane_model"]
+__all__ = ["run_campaign_batched", "build_lane_model", "register_lane_model",
+           "lane_plan_of"]
 
 
 class _StuckLanes(LaneFaultModel):
@@ -98,14 +106,8 @@ class _StuckLanes(LaneFaultModel):
     plane (``sem.bit * lanes + lane``); the mask algebra is unchanged.
     """
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        stride = len(semantics)  # == the pass's lane count (plane stride)
-        self._sa1: dict[int, int] = {}
-        self._sa0: dict[int, int] = {}
-        for lane, sem in enumerate(semantics):
-            target = self._sa1 if sem.value else self._sa0
-            bit = 1 << (sem.bit * stride + lane)
-            target[sem.cell] = target.get(sem.cell, 0) | bit
+    def __init__(self, columns):
+        self._sa1, self._sa0 = columns
 
     def install(self, memory: PackedMemoryArray) -> None:
         # Cells power up at 0; stuck-at-1 lanes are forced immediately.
@@ -129,14 +131,8 @@ class _TransitionLanes(LaneFaultModel):
     applying them in sequence never double-transforms a lane.
     """
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        stride = len(semantics)
-        self._up: dict[int, int] = {}
-        self._down: dict[int, int] = {}
-        for lane, sem in enumerate(semantics):
-            target = self._up if sem.rising else self._down
-            bit = 1 << (sem.bit * stride + lane)
-            target[sem.cell] = target.get(sem.cell, 0) | bit
+    def __init__(self, columns):
+        self._up, self._down = columns
 
     def transform_write(self, addr: int, old, new):
         # Narrow masks first, and ``x ^ (x & y)`` for ``x & ~y``: a
@@ -150,35 +146,6 @@ class _TransitionLanes(LaneFaultModel):
             falling = old & mask
             new |= falling ^ (falling & new)  # blocked fall: bit stays 1
         return new
-
-
-def _coupling_table(pairs, stride):
-    """Merge ``(lane, coupling semantics)`` pairs into one entry per pair.
-
-    Returns ``{aggressor_cell: [(victim_cell, shift, rise_inv, rise_set,
-    rise_clr, fall_inv, fall_set, fall_clr)]}``: one entry per
-    (aggressor cell, victim cell, plane delta), where the plane delta is
-    the aggressor->victim bit offset (zero for bit-oriented and same-bit
-    word faults; also covers the intra-word case where aggressor and
-    victim are bits of one cell) and ``shift`` is that delta in column
-    bits.  The six int lane masks, one per (edge, effect), sit in each
-    lane's *victim* plane.  One fault per lane makes the masks
-    disjoint, so firing a whole entry at once is exact.
-    """
-    merged: dict[tuple[int, int, int], list[int]] = {}
-    for lane, sem in pairs:
-        key = (sem.cell, sem.victim_cell, sem.victim_bit - sem.bit)
-        masks = merged.get(key)
-        if masks is None:
-            masks = merged[key] = [0] * 6
-        # slot = edge (rise 0, fall 3) + effect (invert, set, clear)
-        slot = (0 if sem.rising else 3) + (
-            0 if sem.value is None else 1 if sem.value else 2)
-        masks[slot] |= 1 << (sem.victim_bit * stride + lane)
-    table: dict[int, list[tuple]] = {}
-    for (aggr, victim, delta), masks in merged.items():
-        table.setdefault(aggr, []).append((victim, delta * stride, *masks))
-    return table
 
 
 def _fire_coupling(memory, entries, rise, fall):
@@ -207,9 +174,8 @@ class _CouplingLanes(LaneFaultModel):
     with it before the masks select the fired lanes.
     """
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        self._by_aggressor = _coupling_table(
-            enumerate(semantics), len(semantics))
+    def __init__(self, columns):
+        self._by_aggressor = columns
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
@@ -236,15 +202,8 @@ class _LinkedLanes(LaneFaultModel):
     makes linked CFin pairs cancel.
     """
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        stride = len(semantics)
-        depth = max(len(sem.extra) for sem in semantics)
-        self._steps = []
-        for rank in range(depth):
-            pairs = [(lane, sem.extra[rank])
-                     for lane, sem in enumerate(semantics)
-                     if len(sem.extra) > rank]
-            self._steps.append(_coupling_table(pairs, stride))
+    def __init__(self, columns):
+        self._steps = columns  # one coupling table per component rank
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:
@@ -277,18 +236,14 @@ class _StuckOpenLanes(LaneFaultModel):
 
     transforms_reads = True
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        self._open: dict[int, int] = {}
-        self._sense = 0  # per-lane latch; powers up at initial_sense
-        for lane, sem in enumerate(semantics):
-            self._open[sem.cell] = self._open.get(sem.cell, 0) | (1 << lane)
-            if sem.value:
-                self._sense |= 1 << lane
+    def __init__(self, columns):
+        # The per-lane latch ``_sense`` powers up at initial_sense.
+        self._open, self._sense = columns
 
     def install(self, memory: PackedMemoryArray) -> None:
         # SOF is a whole-cell fault: the open mask cuts off *every* plane
-        # of the lane's cell, so the single-plane lane masks built in
-        # __init__ are spread across the memory's m planes here (the
+        # of the lane's cell, so the single-plane lane masks of the
+        # columns are spread across the memory's m planes here (the
         # first point the geometry is known).  The latch keeps its
         # compact power-up value: initial_sense is a 0/1 cell value,
         # i.e. bit 0 -- plane 0 -- of the word.
@@ -339,25 +294,12 @@ class _StateCouplingLanes(LaneFaultModel):
 
     settles = True
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        stride = len(semantics)
-        merged: dict[tuple[int, int, int, int], list[int]] = {}
-        for lane, sem in enumerate(semantics):
-            key = (sem.cell, sem.bit, sem.victim_cell, sem.victim_bit)
-            masks = merged.get(key)
-            if masks is None:
-                masks = merged[key] = [0, 0, 0, 0]
-            masks[0 if sem.rising else 1] |= 1 << (sem.bit * stride + lane)
-            masks[2 if sem.value else 3] |= \
-                1 << (sem.victim_bit * stride + lane)
+    def __init__(self, columns):
         #: (aggr_cell, victim_cell, shift, state1, state0, force1,
         #:  force0) per coupled pair: the state masks sit in the
         #: aggressor plane, the force masks in the victim plane, and
         #: ``shift`` moves the held lanes from the one to the other.
-        self._entries = [
-            (a_cell, v_cell, (v_bit - a_bit) * stride, *masks)
-            for (a_cell, a_bit, v_cell, v_bit), masks in merged.items()
-        ]
+        self._entries = columns
         self._by_cell: dict[int, list[tuple]] = {}
         self._enforced = False
         for entry in self._entries:
@@ -413,14 +355,10 @@ class _NpsfLanes(LaneFaultModel):
 
     settles = True
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        grouped: dict[tuple, int] = {}
-        for lane, sem in enumerate(semantics):
-            key = (sem.cell, tuple(sem.extra), sem.value)
-            grouped[key] = grouped.get(key, 0) | (1 << lane)
+    def __init__(self, columns):
         self._groups = [
             (victim, neighbors, force_to, mask)
-            for (victim, neighbors, force_to), mask in grouped.items()
+            for (victim, neighbors, force_to), mask in columns.items()
         ]
         self._by_cell: dict[int, list[tuple]] = {}
         self._enforced = False
@@ -475,14 +413,10 @@ class _BridgeLanes(LaneFaultModel):
 
     settles = True
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        grouped: dict[tuple[int, int, int], int] = {}
-        for lane, sem in enumerate(semantics):
-            key = (sem.cell, sem.victim_cell, sem.value)
-            grouped[key] = grouped.get(key, 0) | (1 << lane)
+    def __init__(self, columns):
         self._groups = [
             (cell_a, cell_b, wired_or, mask)
-            for (cell_a, cell_b, wired_or), mask in grouped.items()
+            for (cell_a, cell_b, wired_or), mask in columns.items()
         ]
         self._by_cell: dict[int, list[tuple]] = {}
         self._enforced = False
@@ -535,13 +469,8 @@ class _RetentionLanes(LaneFaultModel):
     transforms_reads = True
     timed = True
 
-    def __init__(self, semantics: list[VectorSemantics]):
-        grouped: dict[int, dict[tuple[int, int], int]] = {}
-        for lane, sem in enumerate(semantics):
-            per_cell = grouped.setdefault(sem.cell, {})
-            key = (sem.extra[0], sem.value)
-            per_cell[key] = per_cell.get(key, 0) | (1 << lane)
-        self._groups: dict[int, object] = grouped
+    def __init__(self, columns):
+        self._groups: dict[int, object] = columns
         self._last: dict[int, int] = {}
         self._now = 0
         self._memory: PackedMemoryArray | None = None
@@ -608,27 +537,27 @@ class _DecoderLanes(LaneFaultModel):
     transforms_reads = True
     maps_addresses = True
 
-    def __init__(self, semantics: list[VectorSemantics]):
+    def __init__(self, columns):
         lost: dict[int, int] = {}
         redirects: dict[int, dict[int, int]] = {}
         read_groups: dict[int, dict[tuple[int, ...], int]] = {}
-        for lane, sem in enumerate(semantics):
-            bit = 1 << lane
-            for addr, cells in sem.extra:
+        for overrides, lanes in columns.items():
+            for addr, cells in overrides:
                 if addr not in cells:
-                    lost[addr] = lost.get(addr, 0) | bit
+                    lost[addr] = lost.get(addr, 0) | lanes
                 for target in cells:
                     if target != addr:
                         targets = redirects.setdefault(addr, {})
-                        targets[target] = targets.get(target, 0) | bit
+                        targets[target] = targets.get(target, 0) | lanes
                 group = read_groups.setdefault(addr, {})
-                group[cells] = group.get(cells, 0) | bit
+                group[cells] = group.get(cells, 0) | lanes
         self._lost: dict[int, int] = lost
         self._redirects: dict[int, object] = redirects
         self._read_groups: dict[int, object] = read_groups
-        #: per-lane address -> physical cells mapping, for the group
-        #: write-conflict check (lane order matches the pass).
-        self._overrides = [dict(sem.extra) for sem in semantics]
+        #: (address -> physical cells mapping, lanes) per distinct
+        #: mapping, for the group write-conflict check.
+        self._overrides = [(dict(overrides), lanes)
+                           for overrides, lanes in columns.items()]
         self._conflict_cache: dict[tuple[int, ...], int] = {}
         #: per-port lane latches; missing ports power up at 0 like the
         #: RAM's sense amps.
@@ -691,21 +620,217 @@ class _DecoderLanes(LaneFaultModel):
         return observed
 
     def group_write_conflicts(self, addrs: tuple[int, ...]) -> int:
-        # The stream repeats its write-address groups, so the per-lane
-        # mapping walk (static per pass) is cached on the addr tuple.
+        # The stream repeats its write-address groups, so the mapping
+        # walk (static per pass) is cached on the addr tuple.
         mask = self._conflict_cache.get(addrs)
         if mask is None:
             mask = 0
-            for lane, overrides in enumerate(self._overrides):
+            for overrides, lanes in self._overrides:
                 cells = [cell for addr in addrs
                          for cell in overrides.get(addr, (addr,))]
                 if len(set(cells)) != len(cells):
-                    mask |= 1 << lane
+                    mask |= lanes
             self._conflict_cache[addrs] = mask
         return mask
 
 
-_MODELS: dict[str, Callable[[list[VectorSemantics]], LaneFaultModel]] = {
+# -- the rows -> columns adapter ---------------------------------------------
+#
+# A spec's generator parts hand each pass its columns whole
+# (:meth:`repro.faults.universe.LanePlan.columns`).  Everything else --
+# hand-built fault lists, ``sample`` specs, parts recorded for a memory
+# larger than the stream -- has descriptors only, and reaches the same
+# model constructors through these loops, one lane at a time.
+
+
+def _cell_columns(semantics, first) -> tuple[dict, dict]:
+    """Per-cell columns of a stuck/transition pass: lanes where
+    ``first(sem)`` holds go to the first dict, the rest to the second."""
+    stride = len(semantics)  # == the pass's lane count (plane stride)
+    high: dict[int, int] = {}
+    low: dict[int, int] = {}
+    for lane, sem in enumerate(semantics):
+        target = high if first(sem) else low
+        bit = 1 << (sem.bit * stride + lane)
+        target[sem.cell] = target.get(sem.cell, 0) | bit
+    return high, low
+
+
+def _coupling_table(pairs, stride):
+    """Coupling columns of ``(lane, coupling semantics)`` pairs in a
+    ``stride``-lane pass (the rows -> columns adapter's coupling case).
+
+    Returns ``{aggressor_cell: [(victim_cell, shift, rise_inv, rise_set,
+    rise_clr, fall_inv, fall_set, fall_clr)]}``: one entry per
+    (aggressor cell, victim cell, plane delta), where the plane delta is
+    the aggressor->victim bit offset (zero for bit-oriented and same-bit
+    word faults; also covers the intra-word case where aggressor and
+    victim are bits of one cell) and ``shift`` is that delta in column
+    bits.  The six int lane masks, one per (edge, effect), sit in each
+    lane's *victim* plane.  One fault per lane makes the masks
+    disjoint, so firing a whole entry at once is exact.
+    """
+    merged: dict[tuple[int, int, int], list[int]] = {}
+    for lane, sem in pairs:
+        key = (sem.cell, sem.victim_cell, sem.victim_bit - sem.bit)
+        masks = merged.get(key)
+        if masks is None:
+            masks = merged[key] = [0] * 6
+        masks[coupling_slot(sem.rising, sem.value)] |= \
+            1 << (sem.victim_bit * stride + lane)
+    table: dict[int, list[tuple]] = {}
+    for (aggr, victim, delta), masks in merged.items():
+        table.setdefault(aggr, []).append((victim, delta * stride, *masks))
+    return table
+
+
+def _stuck_open_columns(semantics) -> tuple[dict, int]:
+    open_lanes: dict[int, int] = {}
+    sense = 0
+    for lane, sem in enumerate(semantics):
+        open_lanes[sem.cell] = open_lanes.get(sem.cell, 0) | (1 << lane)
+        if sem.value:
+            sense |= 1 << lane
+    return open_lanes, sense
+
+
+def _retention_columns(semantics) -> dict:
+    grouped: dict[int, dict[tuple[int, int], int]] = {}
+    for lane, sem in enumerate(semantics):
+        per_cell = grouped.setdefault(sem.cell, {})
+        key = (sem.extra[0], sem.value)
+        per_cell[key] = per_cell.get(key, 0) | (1 << lane)
+    return grouped
+
+
+def _state_columns(semantics) -> list[tuple]:
+    stride = len(semantics)
+    merged: dict[tuple[int, int, int, int], list[int]] = {}
+    for lane, sem in enumerate(semantics):
+        key = (sem.cell, sem.bit, sem.victim_cell, sem.victim_bit)
+        masks = merged.get(key)
+        if masks is None:
+            masks = merged[key] = [0, 0, 0, 0]
+        masks[0 if sem.rising else 1] |= 1 << (sem.bit * stride + lane)
+        masks[2 if sem.value else 3] |= 1 << (sem.victim_bit * stride + lane)
+    return [(a_cell, v_cell, (v_bit - a_bit) * stride, *masks)
+            for (a_cell, a_bit, v_cell, v_bit), masks in merged.items()]
+
+
+def _linked_columns(semantics) -> list[dict]:
+    """One coupling table per component rank: rank 0 of every lane fires
+    first, then rank 1 reads the already-corrupted state."""
+    stride = len(semantics)
+    depth = max(len(sem.extra) for sem in semantics)
+    return [_coupling_table([(lane, sem.extra[rank])
+                             for lane, sem in enumerate(semantics)
+                             if len(sem.extra) > rank], stride)
+            for rank in range(depth)]
+
+
+def _keyed_columns(key) -> Callable[[list[VectorSemantics]], dict]:
+    """Adapter of a kind whose columns are ``{key(sem): lanes}``."""
+
+    def columns(semantics) -> dict:
+        grouped: dict = {}
+        for lane, sem in enumerate(semantics):
+            group = key(sem)
+            grouped[group] = grouped.get(group, 0) | (1 << lane)
+        return grouped
+
+    return columns
+
+
+#: Built-in kind -> its rows -> columns loop.
+_ROW_COLUMNS: dict[str, Callable[[list[VectorSemantics]], object]] = {
+    "stuck": lambda semantics: _cell_columns(semantics,
+                                             lambda sem: sem.value),
+    "transition": lambda semantics: _cell_columns(semantics,
+                                                  lambda sem: sem.rising),
+    "coupling": lambda semantics: _coupling_table(enumerate(semantics),
+                                                  len(semantics)),
+    "stuck-open": _stuck_open_columns,
+    "state": _state_columns,
+    "npsf": _keyed_columns(
+        lambda sem: (sem.cell, tuple(sem.extra), sem.value)),
+    "bridge": _keyed_columns(
+        lambda sem: (sem.cell, sem.victim_cell, sem.value)),
+    "retention": _retention_columns,
+    "linked": _linked_columns,
+    "decoder": _keyed_columns(lambda sem: tuple(sem.extra)),
+}
+
+
+def _row_columns(kind: str, semantics: list[VectorSemantics]):
+    """What the model of ``kind`` takes for these descriptors: a
+    built-in kind's columns, a custom kind's descriptors as they are."""
+    adapter = _ROW_COLUMNS.get(kind)
+    return semantics if adapter is None else adapter(semantics)
+
+
+class RowPlan(NamedTuple):
+    """The lane plan of a universe read row by row.
+
+    ``rows[kind]`` lists a kind's ``(universe index, descriptor)``
+    pairs in lane order.  Same interface as
+    :class:`~repro.faults.universe.LanePlan`; a pass's columns come from
+    the rows -> columns adapter.
+    """
+
+    rows: dict[str, list[tuple[int, VectorSemantics]]]
+    fallback: list[int]
+
+    @property
+    def sizes(self) -> dict[str, int]:
+        return {kind: len(members) for kind, members in self.rows.items()}
+
+    def members(self, kind: str) -> list[int]:
+        return [index for index, _semantics in self.rows[kind]]
+
+    def columns(self, kind: str, lo: int, hi: int):
+        return _row_columns(kind, [semantics for _index, semantics
+                                   in self.rows[kind][lo:hi]])
+
+    def unpack(self, kind: str, lo: int, hi: int, detected: int,
+               verdicts: list) -> None:
+        bits = format(detected, f"0{hi - lo}b")[::-1][:hi - lo]
+        for (index, _semantics), bit in zip(self.rows[kind][lo:hi], bits,
+                                            strict=True):
+            verdicts[index] = bit == "1"
+
+
+def lane_plan_of(faults, n: int, m: int = 1) -> LanePlan | RowPlan:
+    """The lane plan of a universe on an ``n x m`` stream.
+
+    A universe made from a spec whose generator parts all fit the
+    stream gets its table's :class:`~repro.faults.universe.LanePlan`:
+    members by stride arithmetic, columns per address and per coupled
+    pair, no row made.  Any other universe is split row by row
+    (:func:`~repro.sim.campaign.partition_table`, or the faults'
+    descriptors for a hand-built list) into a :class:`RowPlan`.
+
+    >>> from repro.faults import FaultUniverse, standard_universe_spec
+    >>> universe = FaultUniverse.from_spec(standard_universe_spec(8))
+    >>> plan = lane_plan_of(universe, 8)
+    >>> type(plan).__name__, plan.members("bridge")[:4]
+    ('LanePlan', [180, 181, 182, 183])
+    >>> type(lane_plan_of(universe, 4)).__name__   # parts too large
+    'RowPlan'
+    """
+    table = getattr(faults, "descriptors", None)
+    if table is not None:
+        plan = table.lane_plan(n, m)
+        if plan is not None:
+            return plan
+        classes, fallback = partition_table(table, n, m)
+    else:
+        classes, fallback = _partition_faults(faults, n, m)
+    return RowPlan(classes, fallback)
+
+
+#: Vector-semantics kind -> lane model.  A built-in model takes its
+#: pass's columns; a registered custom factory takes the descriptors.
+_MODELS: dict[str, Callable[..., LaneFaultModel]] = {
     "stuck": _StuckLanes,
     "transition": _TransitionLanes,
     "coupling": _CouplingLanes,
@@ -752,10 +877,14 @@ def register_lane_model(
     :class:`~repro.memory.packed.LaneFaultModel` that applies them.  Once
     registered, :func:`run_campaign_batched` vectorizes faults whose
     :meth:`~repro.faults.base.Fault.vector_semantics` returns that kind;
-    unregistered kinds take the scalar per-fault path.
+    unregistered kinds take the scalar per-fault path.  A built-in kind
+    cannot be replaced: pool workers and spec lane plans always run the
+    library's model for it.
     """
     if not kind:
         raise ValueError("kind must be a non-empty string")
+    if kind in _BUILTIN_KINDS:
+        raise ValueError(f"kind {kind!r} has a built-in lane model")
     _MODELS[kind] = factory
 
 
@@ -765,7 +894,10 @@ def build_lane_model(kind: str,
 
     ``semantics[k]`` describes the fault lane *k* carries; ``kind`` is the
     shared :attr:`~repro.faults.base.VectorSemantics.kind` of the class
-    (as produced by :func:`~repro.sim.campaign.partition_universe`).
+    (as produced by :func:`~repro.sim.campaign.partition_universe`).  A
+    built-in kind's descriptors go through the rows -> columns adapter
+    to the model's constructor; a custom kind's factory takes them as
+    they are.
 
     >>> from repro.faults import StuckAtFault
     >>> model = build_lane_model(
@@ -780,7 +912,13 @@ def build_lane_model(kind: str,
             f"no lane model for vector-semantics kind {kind!r} "
             f"(known: {sorted(_MODELS)})"
         ) from None
-    return factory(semantics)
+    return factory(_row_columns(kind, semantics))
+
+
+def _pass_model(plan: LanePlan | RowPlan, kind: str, lo: int,
+                hi: int) -> LaneFaultModel:
+    """The model of one lane pass over members ``[lo, hi)`` of ``kind``."""
+    return _MODELS[kind](plan.columns(kind, lo, hi))
 
 
 def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
@@ -836,7 +974,13 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         Explicit :class:`~repro.sim.pool.WorkerPool` for the shards;
         default is the process-wide shared pool for ``workers``.
 
-    A class wider than :data:`MAX_LANES` faults runs in several passes.
+    Lanes come from :func:`lane_plan_of`: a
+    universe made from a spec whose parts fit the stream hands each pass
+    its model's columns from the generator records, with no descriptor
+    row and no per-fault Python before the kernel; any other universe
+    is split row by row and its descriptors reach the same models
+    through the rows -> columns adapter.  A class wider than
+    :data:`MAX_LANES` faults runs in several passes.
     ``CampaignResult.faults_batched`` reports how many faults the lane
     passes resolved; ``operations_replayed`` counts lane-pass records
     once per *pass* plus the scalar fallback's per-fault records (so it
@@ -857,23 +1001,22 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     # Clamped once here: a pool failure mid-drain re-runs the remainder
     # serially, and the hook must never see ``done`` go backwards.
     progress = _monotonic_progress(progress)
-    table = getattr(universe, "descriptors", None)
-    if table is not None:
-        # A universe made from a spec: lanes come from its descriptor
-        # table, and a fault is built only where one is needed (the
-        # scalar remainder, a report naming a miss).
-        faults = universe
-        classes, fallback = partition_table(table, n, stream.m)
-    else:
-        faults = list(universe)
-        classes, fallback = _partition_faults(faults, n, stream.m)
+    # A universe made from a spec keeps its descriptor table: its lanes
+    # come from the table's lane plan, and a fault is built only where
+    # one is needed (the scalar remainder, a report naming a miss).
+    faults = universe if getattr(universe, "descriptors", None) is not None \
+        else list(universe)
+    plan = lane_plan_of(faults, n, stream.m)
     total = len(faults)
+    classes = dict(plan.sizes)  # kind -> lanes
+    fallback = list(plan.fallback)
     # A custom fault may return a VectorSemantics kind nobody registered
     # a lane model for; honour the any-universe contract by routing it to
     # the scalar path instead of failing mid-campaign.
     unknown_kinds = [k for k in classes if k not in _MODELS]
     for kind in unknown_kinds:
-        fallback.extend(index for index, _sem in classes.pop(kind))
+        del classes[kind]
+        fallback.extend(plan.members(kind))
     fallback.sort()
     result = CampaignResult(stream_name=stream.name, n=n, m=stream.m,
                             reference_operations=stream.reference_operations
@@ -891,36 +1034,36 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     spec = getattr(universe, "spec", None) if not unknown_kinds else None
     use_pool = (workers > 0 or pool is not None) and total > 1
     effective = workers or (pool.workers if pool is not None else 0)
-    shipped: dict[str, list] = {}
+    shipped: dict[str, int] = {}
     local_classes = classes
     if use_pool and total - len(fallback) >= LANE_SHARD_MIN_FAULTS:
-        shipped = {kind: members for kind, members in classes.items()
+        shipped = {kind: lanes for kind, lanes in classes.items()
                    if kind in _BUILTIN_KINDS}
-        local_classes = {kind: members for kind, members in classes.items()
+        local_classes = {kind: lanes for kind, lanes in classes.items()
                          if kind not in shipped}
     pending = None
     if use_pool and (fallback or shipped):
-        pending = _start_shards(stream, faults, fallback, shipped, spec,
-                                effective, pool)
+        pending = _start_shards(stream, faults, plan, fallback, shipped,
+                                spec, effective, pool)
     if pending is None and shipped:
         # No pool after all: the parent runs every lane pass itself.
         local_classes, shipped = classes, {}
     verdicts: list[bool] = [False] * total
     done = 0
 
-    def run_lane_pass(kind: str, members: list) -> None:
+    def run_lane_pass(kind: str, lanes: int) -> None:
         nonlocal done
-        for base in range(0, len(members), MAX_LANES):
-            chunk = members[base:base + MAX_LANES]
-            model = build_lane_model(kind, [sem for _, sem in chunk])
-            packed = PackedMemoryArray(n, lanes=len(chunk), m=stream.m)
+        for base in range(0, lanes, MAX_LANES):
+            hi = min(base + MAX_LANES, lanes)
+            model = _pass_model(plan, kind, base, hi)
+            packed = PackedMemoryArray(n, lanes=hi - base, m=stream.m)
             model.install(packed)
             detected, executed = packed.apply_stream(
                 stream.ops, tables=stream.tables, model=model
             )
             result.operations_replayed += executed
-            _unpack_lanes(detected, chunk, verdicts)
-            done += len(chunk)
+            plan.unpack(kind, base, hi, detected, verdicts)
+            done += hi - base
             if progress is not None:
                 progress(done, total)
 
@@ -950,13 +1093,13 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
                 pool_ops += executed
         else:  # "lane": one worker-side pass over class members [lo:hi)
             kind, detected, executed = data
-            _unpack_lanes(detected, classes[kind][lo:hi], verdicts)
+            plan.unpack(kind, lo, hi, detected, verdicts)
             pool_ops += executed
         return hi - lo
 
     finished = False
     if pending is not None:
-        expected = len(fallback) + sum(len(m) for m in shipped.values())
+        expected = len(fallback) + sum(shipped.values())
         final = _finish_shards(pending, merge, progress, done, total,
                                expected)
         if final is not None:
@@ -989,18 +1132,8 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     return result
 
 
-def _unpack_lanes(detected: int, members: list, verdicts: list) -> None:
-    """Write lane ``k`` of a pass's ``detected`` mask to the verdict of
-    ``members[k]``.  One binary rendering of the mask, not a shift per
-    lane: a shift copies the whole wide int, so per-lane shifts cost
-    O(lanes^2)."""
-    width = len(members)
-    bits = format(detected, f"0{width}b")[::-1][:width]
-    for (index, _semantics), bit in zip(members, bits, strict=True):
-        verdicts[index] = bit == "1"
-
-
-def _start_shards(stream, faults, fallback, shipped, spec, workers, pool):
+def _start_shards(stream, faults, plan, fallback, shipped, spec, workers,
+                  pool):
     """Queue scalar + lane shards, each carrying the stream, on the pool.
 
     Scalar shards follow the fixed plan of
@@ -1022,17 +1155,18 @@ def _start_shards(stream, faults, fallback, shipped, spec, workers, pool):
                               scalar_faults, n, m)
                  for lo, hi in _shard_plan(len(fallback), pool.workers)]
         for kind in sorted(shipped):
-            members = shipped[kind]
+            lanes = shipped[kind]
             width = min(MAX_LANES,
                         max(LANE_SHARD_MIN_CHUNK,
-                            -(-len(members) // (pool.workers * 2))))
-            for base in range(0, len(members), width):
-                hi = min(base + width, len(members))
+                            -(-lanes // (pool.workers * 2))))
+            members = plan.members(kind) if spec is None else None
+            for base in range(0, lanes, width):
+                hi = min(base + width, lanes)
                 if spec is not None:
                     tasks.append(("lane", stream_pair, spec, kind, base, hi,
                                   None, n, m))
                 else:
-                    chunk_faults = [faults[i] for i, _sem in members[base:hi]]
+                    chunk_faults = [faults[i] for i in members[base:hi]]
                     tasks.append(("lane-list", stream_pair, None, kind, base,
                                   hi, chunk_faults, n, m))
         return pool, pool.imap_unordered(_run_task, tasks)

@@ -255,14 +255,20 @@ def partition_table(
 ) -> tuple[dict[str, list[tuple[int, VectorSemantics]]], list[int]]:
     """Split a descriptor table into lane classes and a scalar remainder.
 
-    The same split as :func:`partition_universe`, read straight from a
-    :class:`~repro.faults.universe.DescriptorTable` with no
+    The same split as :func:`partition_universe`, read from the rows of
+    a :class:`~repro.faults.universe.DescriptorTable` with no
     :class:`~repro.faults.base.Fault` built: ``classes`` maps each
     descriptor kind to ``(universe_index, semantics)`` pairs and
     ``fallback`` lists the indices whose descriptor does not fit the
     ``n x m`` geometry.  Rows of a generator part recorded for a memory
     no larger than ``n x m`` fit by construction; only rows of larger
     parts are checked one by one.
+
+    This walks every row.  The batched engine calls it only for tables
+    whose :meth:`~repro.faults.universe.DescriptorTable.lane_plan` is
+    None (a ``sample``, or a part larger than the stream); otherwise the
+    plan splits the universe by kind from the generator records alone
+    (:func:`repro.sim.batched.lane_plan_of`).
 
     >>> from repro.faults import descriptor_table, standard_universe_spec
     >>> spec = standard_universe_spec(8)
@@ -374,16 +380,20 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 
 @lru_cache(maxsize=8)
 def _lane_members(spec: UniverseSpec, n: int, m: int):
-    """Worker-side cache: ``(classes, fallback_faults)`` of a spec'd
+    """Worker-side cache: ``(plan, fallback_faults)`` of a spec'd
     universe on an ``n x m`` stream.
 
-    Read from the spec's descriptor table -- the same split the parent
-    made, in the same order -- so a worker builds a fault only for the
-    scalar remainder it may be asked to replay.
+    The same lane plan the parent made
+    (:func:`repro.sim.batched.lane_plan_of`), so a lane task builds its
+    pass's columns from the plan's slice and a worker builds a fault
+    only for the scalar remainder it may be asked to replay.
     """
+    # Late import: batched.py imports this module.
+    from repro.sim.batched import lane_plan_of
+
     universe = FaultUniverse.from_spec(spec)
-    classes, fallback = partition_table(universe.descriptors, n, m)
-    return classes, tuple(universe[index] for index in fallback)
+    plan = lane_plan_of(universe, n, m)
+    return plan, tuple(universe[index] for index in plan.fallback)
 
 
 def _shard_faults(mode, spec, lo, hi, faults, n, m):
@@ -416,17 +426,16 @@ def _run_lane_task(task) -> tuple:
     # Late imports: batched.py imports this module, and under fork the
     # worker has everything loaded anyway.
     from repro.memory.packed import PackedMemoryArray
-    from repro.sim.batched import build_lane_model
+    from repro.sim.batched import _pass_model, build_lane_model
 
     tag, stream_pair, spec, kind, lo, hi, faults, n, m = task
     stream = worker_stream(*stream_pair)
     if tag == "lane":
-        classes, _fallback = _lane_members(spec, n, m)
-        semantics = [sem for _index, sem in classes[kind][lo:hi]]
+        model = _pass_model(_lane_members(spec, n, m)[0], kind, lo, hi)
     else:  # "lane-list": explicit faults (universes without a spec)
-        semantics = [fault.vector_semantics() for fault in faults]
-    model = build_lane_model(kind, semantics)
-    packed = PackedMemoryArray(n, lanes=len(semantics), m=m)
+        model = build_lane_model(
+            kind, [fault.vector_semantics() for fault in faults])
+    packed = PackedMemoryArray(n, lanes=hi - lo, m=m)
     model.install(packed)
     detected, executed = packed.apply_stream(stream.ops, tables=stream.tables,
                                              model=model)

@@ -16,6 +16,7 @@ import pytest
 from repro.analysis import (
     CampaignRequest,
     RequestError,
+    RequestOutcome,
     compare_tests,
     execute_request,
     known_tests,
@@ -359,6 +360,43 @@ class TestCachedExecution:
         run_request(request, cache=False)
         run_request(request, cache=False)
         assert len(calls) == 2
+
+    def test_uncached_request_hashes_its_stream_only_when_asked(
+            self, monkeypatch):
+        from repro.sim.ir import OpStream
+
+        def refuse(_stream):
+            raise AssertionError("the stream was hashed")
+
+        request = CampaignRequest(test="march-c", n=27, m=2,
+                                  engine="batched")
+        with monkeypatch.context() as patch:
+            patch.setattr(OpStream, "digest", refuse)
+            outcome = execute_request(request, cache=False)
+            assert outcome.cached is False
+            with pytest.raises(AssertionError, match="hashed"):
+                outcome.cache_key  # noqa: B018 -- the key is computed here
+        assert outcome.cache_key == request.cache_key()
+
+    def test_outcome_fields_take_keywords_and_compare_by_key(self):
+        request = CampaignRequest(test="march-c", n=26, m=2,
+                                  engine="batched")
+        lazy = execute_request(request, cache=False)
+        eager = RequestOutcome(report=lazy.report, cached=False,
+                               elapsed_s=lazy.elapsed_s,
+                               cache_key=request.cache_key())
+        assert lazy == eager
+        assert lazy.cache_key == eager.cache_key
+        assert lazy == eager  # once the key is read as well
+        assert "cache_key=" in repr(lazy)
+
+    def test_uncached_outcome_pickles_with_its_key(self):
+        request = CampaignRequest(test="mats+", n=25, m=1,
+                                  engine="batched")
+        outcome = execute_request(request, cache=False)
+        copy = pickle.loads(pickle.dumps(outcome))
+        assert copy.__dict__["cache_key"] == request.cache_key()
+        assert copy == outcome
 
     def test_workers_share_a_cache_entry(self):
         """workers is excluded from the key: a sharded rerun of a cached

@@ -297,7 +297,11 @@ class TestRunCampaignBatched:
         assert result.faults_batched == 2  # the exotic one went scalar
 
     def test_register_lane_model_extends_vectorization(self):
-        from repro.sim.batched import _MODELS, _StuckLanes
+        from repro.sim.batched import _MODELS
+
+        def pinned_high_lanes(semantics):
+            # The custom kind's descriptors read as stuck-at lanes.
+            return build_lane_model("stuck", semantics)
 
         class PinnedHighFault(StuckAtFault):
             """A stuck-at-1 under a custom vector-semantics kind."""
@@ -314,7 +318,7 @@ class TestRunCampaignBatched:
         universe = [PinnedHighFault(2), StuckAtFault(4, 0)]
         unregistered = run_campaign_batched(stream, universe)
         assert unregistered.faults_batched == 1  # custom kind went scalar
-        register_lane_model("pinned-high", _StuckLanes)
+        register_lane_model("pinned-high", pinned_high_lanes)
         try:
             registered = run_campaign_batched(stream, universe)
         finally:
@@ -323,7 +327,9 @@ class TestRunCampaignBatched:
         assert [d for _, d in registered.outcomes] == \
             [d for _, d in unregistered.outcomes]
         with pytest.raises(ValueError):
-            register_lane_model("", _StuckLanes)
+            register_lane_model("", pinned_high_lanes)
+        with pytest.raises(ValueError):  # built-in kinds keep their model
+            register_lane_model("stuck", pinned_high_lanes)
 
     def test_reference_pass_shared_with_scalar_engine(self):
         stream = compile_march(MATS, 8)

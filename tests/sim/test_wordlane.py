@@ -11,6 +11,8 @@ interpreted engine as ground truth at small n.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import march_runner, run_coverage, schedule_runner
 from repro.faults import (
@@ -72,6 +74,23 @@ class TestWordLanePackedArray:
         # lane 0 differs in plane 2 only, lane 3 in plane 0 only.
         column = (1 << (2 * 4)) | (1 << 3)
         assert packed.lane_mask(column) == 0b1001
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 16), lanes=st.integers(1, 300))
+    def test_lane_mask_matches_a_per_lane_fold(self, data, m, lanes):
+        # Any column of m planes, dense or with a few bits set: lane k
+        # is in the mask iff some plane has lane k set.
+        column = data.draw(st.one_of(
+            st.integers(0, (1 << (m * lanes)) - 1),
+            st.lists(st.integers(0, m * lanes - 1), max_size=4).map(
+                lambda bits: sum(1 << bit for bit in set(bits)))))
+        naive = 0
+        for lane in range(lanes):
+            if any(column >> (plane * lanes + lane) & 1
+                   for plane in range(m)):
+                naive |= 1 << lane
+        packed = PackedMemoryArray(1, lanes=lanes, m=m)
+        assert packed.lane_mask(column) == naive
 
     def test_word_stream_healthy_replay(self):
         stream = compile_march(MARCH_C_MINUS, 8, m=4)

@@ -349,6 +349,48 @@ class TestCheckBenchSpecLaneRows:
         assert any("spec_s" in r for r in regressions)
 
 
+class TestCheckBenchPlanRows:
+    """The current-run-only lane-plan gate."""
+
+    @staticmethod
+    def _shared():
+        return [{"test": "March C-", "n": 64, "compiled_s": 1.0}]
+
+    @staticmethod
+    def _plan_row(**overrides):
+        row = {"test": "standard universe", "n": 1024, "m": 1,
+               "universe": "standard m=1 (lane plan)", "faults": 27628,
+               "plan_s": 0.008, "rows_s": 0.06, "plan_vs_rows": 7.5}
+        row.update(overrides)
+        return row
+
+    def _gate(self, **overrides):
+        current = {"rows": self._shared(),
+                   "plan_rows": [self._plan_row(**overrides)]}
+        return check_bench.compare({"rows": self._shared()}, current,
+                                   3.0, 0.05)
+
+    def test_slow_plan_is_a_regression(self):
+        _, regressions = self._gate(plan_vs_rows=1.1)
+        assert any("lane plan is only 1.10x faster" in r
+                   for r in regressions)
+
+    def test_fast_plan_passes(self):
+        lines, regressions = self._gate()
+        assert not regressions
+        assert any("lane plan" in line and "ok" in line for line in lines)
+
+    def test_small_row_is_exempt(self):
+        _, regressions = self._gate(faults=999, plan_vs_rows=1.0)
+        assert not regressions
+
+    def test_plan_timings_diff_against_baseline(self):
+        base = {"plan_rows": [self._plan_row(plan_s=0.1)]}
+        current = {"plan_rows": [self._plan_row(plan_s=0.5)]}
+        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert any("plan_s" in r for r in regressions)
+
+
 class TestCheckBenchGlueRows:
     """Glue timings are diffed against the baseline, with no own gate."""
 

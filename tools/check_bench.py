@@ -42,6 +42,13 @@ or above ``MIN_SPEC_SPEEDUP`` on rows of at least
 ``SPEC_GATE_MIN_FAULTS`` faults.  A ratio near 1 means the tables
 started building faults again.
 
+``plan_rows`` rows gate the *lane plan* the same way: each row's
+``plan_vs_rows`` (the lane classes, every pass's columns and models
+built from descriptor rows, over the same from the spec's lane plan)
+must stay at or above ``MIN_PLAN_SPEEDUP`` on rows of at least
+``PLAN_GATE_MIN_FAULTS`` faults.  A ratio near 1 means the plan started
+reading rows again.
+
 ``glue_rows`` (compile, error-only verify and miss naming of one cold
 request) and ``lane_rows`` (one lane class's passes of one cold request)
 have no gate of their own: their ``*_s`` timings are diffed against the
@@ -70,8 +77,8 @@ import sys
 
 ROW_SECTIONS = ("rows", "single_cell_rows", "multiport_rows",
                 "wordlane_rows", "sharded_rows", "cache_rows",
-                "default_rows", "spec_lane_rows", "glue_rows",
-                "lane_rows", "fallback_summary")
+                "default_rows", "spec_lane_rows", "plan_rows",
+                "glue_rows", "lane_rows", "fallback_summary")
 
 #: run_campaign_batched ships whole lane-pass chunks to the pool only
 #: past this many vectorizable faults (repro.sim.batched
@@ -88,6 +95,11 @@ DEFAULT_GATE_MIN_FAULTS = 1000
 #: smaller than ``SPEC_GATE_MIN_FAULTS`` faults are exempt.
 MIN_SPEC_SPEEDUP = 2.0
 SPEC_GATE_MIN_FAULTS = 1000
+
+#: Floor of a ``plan_rows`` row's ``plan_vs_rows``; rows smaller than
+#: ``PLAN_GATE_MIN_FAULTS`` faults are exempt.
+MIN_PLAN_SPEEDUP = 2.0
+PLAN_GATE_MIN_FAULTS = 1000
 
 
 def _row_key(section: str, row: dict) -> tuple:
@@ -152,8 +164,9 @@ def compare(baseline: dict, current: dict, max_slowdown: float,
                      f"{speedup:>10.1f}x (floor "
                      f"{min_cache_speedup:.0f}x) {verdict}")
     # Same-host ratio gates, checked against the current run alone: the
-    # default request against its engine="compiled" twin, and the spec's
-    # lane tables against building and partitioning every fault.
+    # default request against its engine="compiled" twin, the spec's
+    # lane tables against building and partitioning every fault, and
+    # the lane plan against building lane models from rows.
     for section, field, column, floor, min_faults, tag, what in (
             ("default_rows", "default_vs_compiled", "vs_compiled",
              MIN_DEFAULT_SPEEDUP, DEFAULT_GATE_MIN_FAULTS, "default engine",
@@ -162,7 +175,11 @@ def compare(baseline: dict, current: dict, max_slowdown: float,
             ("spec_lane_rows", "spec_vs_enumerate", "vs_enumerate",
              MIN_SPEC_SPEEDUP, SPEC_GATE_MIN_FAULTS, "spec lanes",
              "the spec's lane tables are only {:.2f}x faster than "
-             "enumerating the faults")):
+             "enumerating the faults"),
+            ("plan_rows", "plan_vs_rows", "vs_rows", MIN_PLAN_SPEEDUP,
+             PLAN_GATE_MIN_FAULTS, "lane plan",
+             "the lane plan is only {:.2f}x faster than building the "
+             "lane models from descriptor rows")):
         for row in current.get(section, ()):
             speedup = row.get(field)
             if not isinstance(speedup, (int, float)) \
