@@ -37,12 +37,6 @@ encodings, so the "scalar-heavy" rows now resolve entirely in lane
 passes and the pool is never started -- the rows are retained under
 their original identities precisely to pin that cliff: ``sharded_s``
 tracking ``batched_s`` (instead of interpreted/workers) *is* the win.
-Alongside them, the ``standard lane-sharded`` rows measure process
-sharding on its real workload: the *full* ``standard_universe(n)``
-through ``run_campaign_batched`` serially vs ``workers=N``, where past
-the lane-shard threshold whole lane-pass chunks fan out across the pool
-(``sharded_vs_serial`` is the cores-are-a-real-win ratio the CI gate
-checks on multi-core hosts).
 
 A fifth section times the *word-lane* packed backend (``wordlane_rows``):
 the full word-oriented ``standard_universe(n, m=8)`` (per-bit single-cell
@@ -582,44 +576,6 @@ def bench_sharded(name: str, make_runner, n: int, workers: int) -> dict:
     return row
 
 
-def bench_lane_sharded(n: int, workers: int) -> dict:
-    """Process sharding on its real workload: full standard universe,
-    serial batched vs ``workers=N``.
-
-    Past ``LANE_SHARD_MIN_FAULTS`` whole lane-pass chunks fan out across
-    the pool alongside any scalar remainder; below it (the quick-mode
-    n=64 row) the pool never engages and the row just pins the identity
-    for baseline matching.  ``sharded_vs_serial`` on a multi-core host
-    is the acceptance ratio ``tools/check_bench.py`` gates on.
-    """
-    universe = standard_universe(n)
-    t_bat, r_bat = _time_coverage(march_runner(MARCH_C_MINUS), universe, n,
-                                  engine="batched")
-    t_shd, r_shd = _time_coverage(march_runner(MARCH_C_MINUS), universe, n,
-                                  engine="batched", workers=workers)
-    if _report_key(r_bat) != _report_key(r_shd):
-        raise AssertionError(
-            f"March C- n={n}: lane-sharded campaign diverged from serial "
-            f"batched"
-        )
-    ratio = round(t_bat / t_shd, 2) if t_shd else float("inf")
-    row = {
-        "test": "March C-",
-        "n": n,
-        "universe": "standard lane-sharded",
-        "faults": len(universe),
-        "workers": workers,
-        "coverage": round(r_bat.overall, 4),
-        "batched_s": round(t_bat, 3),
-        "sharded_s": round(t_shd, 3),
-        "sharded_vs_serial": ratio,
-    }
-    print(f" March C- n={n:<5} lane-sharded faults={len(universe):<6} "
-          f"batched {t_bat:>7.3f}s  sharded({workers}w) {t_shd:>7.3f}s  "
-          f"x{ratio} vs serial")
-    return row
-
-
 CACHE_TESTS = (("March C-", "march-c"), ("PRT-3", "prt3"))
 CACHE_WARM_REPEATS = 5
 
@@ -1099,7 +1055,6 @@ def main(argv: list[str] | None = None) -> int:
                 sharded_rows.append(bench_sharded(
                     name, lambda n=n, build=build: build(n), n,
                     args.workers))
-            sharded_rows.append(bench_lane_sharded(n, args.workers))
     summary = {
         "benchmark": "campaign_engine",
         "python": sys.version.split()[0],
@@ -1158,10 +1113,6 @@ def main(argv: list[str] | None = None) -> int:
         "lane_rows": lane_rows,
         "sharded_rows": sharded_rows,
     }
-    if sharded_rows:
-        summary["min_sharded_speedup"] = min(
-            r["speedup_sharded"] for r in sharded_rows
-            if "speedup_sharded" in r)
     shutdown_shared_pools()
     text = json.dumps(summary, indent=2)
     if args.out:

@@ -207,11 +207,10 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
     report.  ``workers > 0`` fans the campaign out over that many
     processes on the persistent shared pool of :mod:`repro.sim.pool` -- or on ``pool``, an explicit
     :class:`~repro.sim.pool.WorkerPool` to reuse across many campaigns.
-    On the batched engine the pool takes the scalar remainder, plus
-    lane-pass chunks past ``LANE_SHARD_MIN_FAULTS`` vectorizable
-    faults, while the parent runs its lane passes (int columns on a
-    :class:`~repro.memory.packed.PackedMemoryArray`); a smaller, fully
-    vectorizable universe never starts the pool.
+    On the batched engine every lane pass (int columns on a
+    :class:`~repro.memory.packed.PackedMemoryArray`) runs in-process and
+    the pool takes only the scalar remainder, so a fully vectorizable
+    universe never starts the pool.
 
     >>> from repro.faults import single_cell_universe
     >>> from repro.march.library import MARCH_C_MINUS

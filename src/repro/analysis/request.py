@@ -44,6 +44,7 @@ True
 from __future__ import annotations
 
 import hashlib
+import inspect
 import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
@@ -301,8 +302,13 @@ class ResolvedCampaign:
     def build_universe(self) -> FaultUniverse:
         """The fault universe (cold path only), lazy: it holds the spec's
         descriptor table and builds a fault only when one is asked for
-        (see :meth:`FaultUniverse.from_spec`)."""
-        return FaultUniverse.from_spec(self.universe_spec)
+        (see :meth:`FaultUniverse.from_spec`).  A generator that rejects
+        its kwargs (too few cells for a pair, a retention below one
+        cycle) raises :class:`RequestError`."""
+        try:
+            return FaultUniverse.from_spec(self.universe_spec)
+        except ValueError as exc:
+            raise RequestError(f"universe spec: {exc}") from exc
 
     @property
     def cache_key(self) -> str:
@@ -321,8 +327,24 @@ class ResolvedCampaign:
         return self._cache_key
 
 
-def _validate_spec(spec: UniverseSpec) -> None:
-    """Reject specs naming unknown generators before they hit a worker."""
+@lru_cache(maxsize=16)
+def _generator_signature(generator: str) -> inspect.Signature:
+    """The signature of a spec generator (computing one costs more than
+    binding a spec's kwargs to it)."""
+    from repro.faults.universe import _SPEC_GENERATORS
+
+    return inspect.signature(_SPEC_GENERATORS[generator])
+
+
+def _validate_spec(spec: UniverseSpec, n: int, m: int) -> None:
+    """Reject a spec no worker could build for an ``n x m`` request.
+
+    Every leaf must name a known generator, and its kwargs must bind to
+    that generator's signature.  Its ``n`` and ``m``, explicit or
+    default, must be ints in ``[1, n]`` and ``[1, m]``: a larger part
+    would address cells or bits the request's memory does not have.
+    Nothing is built.
+    """
     from repro.faults.universe import _SPEC_GENERATORS
 
     if spec.generator in ("union", "sample"):
@@ -331,13 +353,28 @@ def _validate_spec(spec: UniverseSpec) -> None:
                 f"universe spec {spec.generator!r} needs child specs"
             )
         for part in spec.parts:
-            _validate_spec(part)
+            _validate_spec(part, n, m)
         return
     if spec.generator not in _SPEC_GENERATORS:
         raise RequestError(
             f"unknown universe generator {spec.generator!r} "
             f"(known: {sorted(_SPEC_GENERATORS)})"
         )
+    signature = _generator_signature(spec.generator)
+    try:
+        bound = signature.bind(**dict(spec.kwargs))
+    except TypeError as exc:
+        raise RequestError(
+            f"universe spec {spec.generator!r}: {exc}") from None
+    for name, limit in (("n", n), ("m", m)):
+        parameter = signature.parameters.get(name)
+        value = bound.arguments.get(
+            name, 1 if parameter is None else parameter.default)
+        if not _is_int(value) or not 1 <= value <= limit:
+            raise RequestError(
+                f"universe spec {spec.generator!r}: {name} must be an "
+                f"int in [1, {limit}] (the request's {name}), "
+                f"got {value!r}")
 
 
 @lru_cache(maxsize=256)
@@ -427,7 +464,7 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
                 f"universe must be a UniverseSpec or None, "
                 f"got {type(request.universe).__name__}"
             )
-        _validate_spec(request.universe)
+        _validate_spec(request.universe, n, m)
         spec = request.universe
     return ResolvedCampaign(
         request=request, runner=runner, universe_spec=spec,

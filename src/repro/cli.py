@@ -58,7 +58,6 @@ from repro.prt import (
     extended_schedule,
     standard_schedule,
 )
-from repro.sim.batched import LANE_SHARD_MIN_FAULTS
 
 __all__ = ["main"]
 
@@ -345,11 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard the campaign over N worker processes "
                         f"(0 = serial, at most {MAX_WORKERS}); on the "
                         "batched engine (the default) "
-                        "the pool takes only the scalar remainder and, past "
-                        f"{LANE_SHARD_MIN_FAULTS} vectorizable faults, "
-                        "lane-pass chunks, so a smaller fully vectorizable "
-                        "universe runs in-process and never starts the "
-                        "pool")
+                        "every lane pass runs in-process and the pool "
+                        "takes only the scalar remainder, so a fully "
+                        "vectorizable universe never starts the pool")
     p.add_argument("--engine", choices=ENGINES, default="auto",
                    help="campaign engine: auto (batched when the test "
                         "compiles, which every --test and --scheme does; "

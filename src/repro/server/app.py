@@ -16,6 +16,7 @@ POST   ``/compare``          comparison table over several requests
 POST   ``/verify``           statically verify a compiled stream
 
 POST   ``/jobs``             submit a campaign job, return immediately
+                             (429 + ``Retry-After`` when the queue is full)
 GET    ``/jobs/{id}``        poll job status/progress/result
 GET    ``/jobs/{id}/stream`` NDJSON live progress until the job settles
 ====== ===================== ============================================
@@ -52,7 +53,7 @@ from repro.analysis.request import (
     resolve_campaign,
 )
 from repro.server.cache import ResultCache, default_cache
-from repro.server.jobs import JobManager
+from repro.server.jobs import JobManager, JobQueueFull
 from repro.server.schemas import (
     SchemaError,
     compare_from_dict,
@@ -68,9 +69,10 @@ _STREAM_POLL_S = 0.05  # progress poll cadence for /jobs/{id}/stream
 
 
 class _HttpError(Exception):
-    def __init__(self, status: int, error: str, **extra):
+    def __init__(self, status: int, error: str, headers=(), **extra):
         super().__init__(error)
         self.status = status
+        self.headers = headers
         self.body = {"error": error, **extra}
 
 
@@ -104,7 +106,7 @@ class ReproApp:
         try:
             await self._dispatch(scope, receive, send)
         except _HttpError as exc:
-            await self._send_json(send, exc.status, exc.body)
+            await self._send_json(send, exc.status, exc.body, exc.headers)
 
     async def _lifespan(self, receive, send) -> None:
         while True:
@@ -240,6 +242,9 @@ class ReproApp:
                                  f"got {kind!r}", field="kind")
         except RequestError as exc:
             raise _HttpError(400, str(exc)) from None
+        except JobQueueFull as exc:
+            raise _HttpError(429, str(exc),
+                             headers=[(b"retry-after", b"1")]) from None
         return job.to_dict()
 
     def _parse(self, parser, body: dict):
@@ -279,7 +284,8 @@ class ReproApp:
     # -- plumbing ------------------------------------------------------------
 
     @staticmethod
-    async def _send_json(send, status: int, payload: dict) -> None:
+    async def _send_json(send, status: int, payload: dict,
+                         headers=()) -> None:
         body = json.dumps(payload).encode("utf-8")
         await send({
             "type": "http.response.start",
@@ -287,6 +293,7 @@ class ReproApp:
             "headers": [
                 (b"content-type", b"application/json"),
                 (b"content-length", str(len(body)).encode("ascii")),
+                *headers,
             ],
         })
         await send({"type": "http.response.body", "body": body})

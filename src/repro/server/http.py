@@ -30,6 +30,7 @@ REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    429: "Too Many Requests",
     500: "Internal Server Error",
 }
 

@@ -36,9 +36,16 @@ from dataclasses import dataclass, field
 
 from repro.analysis.request import CampaignRequest, execute_request, resolve_campaign
 
-__all__ = ["Job", "JobManager"]
+__all__ = ["Job", "JobManager", "JobQueueFull"]
 
 _STATUSES = ("queued", "running", "done", "error")
+
+
+class JobQueueFull(RuntimeError):
+    """Refused submission: ``history`` jobs are already queued or running.
+
+    ``POST /jobs`` answers it with ``429`` and a ``Retry-After`` header.
+    """
 
 
 @dataclass
@@ -82,8 +89,10 @@ class JobManager:
         pool-sharded campaigns (``workers > 0``) and cache I/O -- but
         two still keep one long campaign from stalling the queue.
     history:
-        Finished jobs retained for polling; the oldest are dropped
-        beyond this bound.
+        Jobs tracked for polling; the oldest finished ones are dropped
+        beyond this bound.  It also bounds the live queue: while
+        ``history`` jobs are queued or running, a submission raises
+        :class:`JobQueueFull`.
     """
 
     def __init__(self, cache=None, max_workers: int = 2,
@@ -101,6 +110,12 @@ class JobManager:
 
     def _new_job(self, kind: str) -> Job:
         with self._lock:
+            live = sum(job.status in ("queued", "running")
+                       for job in self._jobs.values())
+            if live >= self._history:
+                raise JobQueueFull(
+                    f"{live} jobs are queued or running (at most "
+                    f"{self._history}); retry when one finishes")
             job = Job(id=f"job-{next(self._ids)}", kind=kind)
             self._jobs[job.id] = job
             self._events[job.id] = threading.Event()

@@ -52,10 +52,10 @@ subsystem splits that work into a *compile* phase and a *replay* phase:
    task, unpickled once per worker and content digest.  Universes
    carrying a :class:`~repro.faults.universe.UniverseSpec` travel as
    ``(spec, index range)``; workers enumerate their faults locally.
-   The batched
-   engine overlaps its own lane passes with pooled shards.  Verdicts
-   are byte-identical on every path, and environments that cannot fork
-   degrade to single-process execution.
+   The batched engine runs its lane passes in-process and hands only
+   its scalar remainder to the pool.  Verdicts are byte-identical on
+   every path, and environments that cannot fork degrade to
+   single-process execution.
 
 The legacy entry points -- :func:`repro.march.engine.run_march`,
 :meth:`repro.prt.schedule.PiTestSchedule.run`,

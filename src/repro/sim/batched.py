@@ -75,21 +75,14 @@ from repro.faults.base import Fault, VectorSemantics
 from repro.faults.universe import LanePlan, coupling_slot
 from repro.memory.packed import LaneFaultModel, PackedMemoryArray
 from repro.sim.campaign import (
-    POOL_FAILURES,
     CampaignResult,
-    _drain_shards,
-    _monotonic_progress,
     _partition_faults,
-    _pool_failed,
     _reference_pass,
-    _run_task,
-    _scalar_task,
-    _shard_plan,
     partition_table,
     run_campaign,
 )
 from repro.sim.ir import OpStream
-from repro.sim.pool import WorkerPool, shared_pool
+from repro.sim.pool import WorkerPool
 
 __all__ = ["run_campaign_batched", "build_lane_model", "register_lane_model",
            "lane_plan_of"]
@@ -843,27 +836,14 @@ _MODELS: dict[str, Callable[..., LaneFaultModel]] = {
     "decoder": _DecoderLanes,
 }
 
-#: Kinds whose lane models ship with the library.  Only these may run
-#: as worker-side lane shards: a *runtime*-registered model exists in
-#: this process but not necessarily in a pool worker (forked before the
-#: registration), so those kinds always lane-resolve in the parent.
+#: Kinds whose lane models ship with the library.  A spec's lane plan
+#: hands these models columns, not descriptors, so a registration may
+#: not replace one.
 _BUILTIN_KINDS = frozenset(_MODELS)
-
-#: Minimum vectorizable fault count before the batched engine fans lane
-#: passes out to workers.  Below it the passes finish faster in the
-#: parent than the pool's dispatch round-trip; in particular small
-#: fully-vectorizable campaigns never touch (or start) a pool.
-LANE_SHARD_MIN_FAULTS = 4096
 
 #: Lane-width cap per pass: a class with more faults is cut into passes
 #: of at most this many lanes (a 2^15-bit column at m=8).
 MAX_LANES = 4096
-
-#: Floor for worker-side lane-chunk widths.  A lane pass costs one
-#: stream replay regardless of width, so thin chunks multiply total
-#: work; chunks only shrink below ``MAX_LANES`` to give each worker a
-#: few per class.
-LANE_SHARD_MIN_CHUNK = 256
 
 
 def register_lane_model(
@@ -878,8 +858,8 @@ def register_lane_model(
     registered, :func:`run_campaign_batched` vectorizes faults whose
     :meth:`~repro.faults.base.Fault.vector_semantics` returns that kind;
     unregistered kinds take the scalar per-fault path.  A built-in kind
-    cannot be replaced: pool workers and spec lane plans always run the
-    library's model for it.
+    cannot be replaced: spec lane plans always run the library's model
+    for it.
     """
     if not kind:
         raise ValueError("kind must be a non-empty string")
@@ -951,19 +931,12 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     universe:
         Iterable of faults; outcome order preserved.
     workers:
-        ``N > 0`` (or an explicit ``pool``) runs pool work
-        *concurrently* with the parent's lane passes: the scalar
-        remainder -- and, for universes past ``LANE_SHARD_MIN_FAULTS``
-        vectorizable faults, whole lane-pass chunks -- is queued first,
-        the parent resolves its share of the classes while workers chew,
-        then every verdict set merges by universe index.  Universes
-        carrying a :class:`~repro.faults.universe.UniverseSpec` shard as
-        ``(spec, index range)`` -- workers re-derive their faults
-        locally -- and anything else ships explicit fault chunks.  Falls
-        back to single-process execution, with a warning on the
-        ``repro.sim`` logger, when the platform cannot spawn workers.
-        Small fully-vectorizable universes never touch (or start) a pool
-        at all.
+        Passed with ``pool`` to :func:`~repro.sim.campaign.run_campaign`
+        for the scalar remainder, which ``N > 0`` (or an explicit
+        ``pool``) shards over the process pool; every lane pass runs in
+        this process.  ``workers_used`` is that call's.  A fully
+        vectorizable universe has no remainder and never touches (or
+        starts) a pool.
     progress:
         ``progress(done, total)`` with ``total`` the full universe size,
         fired after each lane chunk and each fallback chunk.
@@ -971,8 +944,8 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
         Validate the stream on a fault-free memory first (shared cache
         with the scalar engine).
     pool:
-        Explicit :class:`~repro.sim.pool.WorkerPool` for the shards;
-        default is the process-wide shared pool for ``workers``.
+        Explicit :class:`~repro.sim.pool.WorkerPool` for the remainder's
+        shards; default is the process-wide shared pool for ``workers``.
 
     Lanes come from :func:`lane_plan_of`: a
     universe made from a spec whose parts fit the stream hands each pass
@@ -998,9 +971,6 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     n = stream.n
     if reference_check:
         _reference_pass(stream, n, stream.m)
-    # Clamped once here: a pool failure mid-drain re-runs the remainder
-    # serially, and the hook must never see ``done`` go backwards.
-    progress = _monotonic_progress(progress)
     # A universe made from a spec keeps its descriptor table: its lanes
     # come from the table's lane plan, and a fault is built only where
     # one is needed (the scalar remainder, a report naming a miss).
@@ -1013,8 +983,7 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
     # A custom fault may return a VectorSemantics kind nobody registered
     # a lane model for; honour the any-universe contract by routing it to
     # the scalar path instead of failing mid-campaign.
-    unknown_kinds = [k for k in classes if k not in _MODELS]
-    for kind in unknown_kinds:
+    for kind in [k for k in classes if k not in _MODELS]:
         del classes[kind]
         fallback.extend(plan.members(kind))
     fallback.sort()
@@ -1022,39 +991,11 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
                             reference_operations=stream.reference_operations
                             or 0,
                             faults_batched=total - len(fallback))
-    # Queue pool work *before* the parent's lane passes: workers chew on
-    # scalar-fallback shards -- and, past LANE_SHARD_MIN_FAULTS, whole
-    # lane-pass chunks -- while the parent resolves its share of the
-    # vectorizable classes; the verdict sets are disjoint by
-    # construction, so they merge by universe index afterwards.  A
-    # runtime-registered lane kind may not exist in the workers, so spec
-    # sharding (workers re-derive their faults locally) is only sound
-    # when the partition used no such kind, and only built-in kinds ever
-    # ship as lane shards; otherwise explicit faults travel.
-    spec = getattr(universe, "spec", None) if not unknown_kinds else None
-    use_pool = (workers > 0 or pool is not None) and total > 1
-    effective = workers or (pool.workers if pool is not None else 0)
-    shipped: dict[str, int] = {}
-    local_classes = classes
-    if use_pool and total - len(fallback) >= LANE_SHARD_MIN_FAULTS:
-        shipped = {kind: lanes for kind, lanes in classes.items()
-                   if kind in _BUILTIN_KINDS}
-        local_classes = {kind: lanes for kind, lanes in classes.items()
-                         if kind not in shipped}
-    pending = None
-    if use_pool and (fallback or shipped):
-        pending = _start_shards(stream, faults, plan, fallback, shipped,
-                                spec, effective, pool)
-    if pending is None and shipped:
-        # No pool after all: the parent runs every lane pass itself.
-        local_classes, shipped = classes, {}
     verdicts: list[bool] = [False] * total
     done = 0
-
-    def run_lane_pass(kind: str, lanes: int) -> None:
-        nonlocal done
-        for base in range(0, lanes, MAX_LANES):
-            hi = min(base + MAX_LANES, lanes)
+    for kind in sorted(classes):
+        for base in range(0, classes[kind], MAX_LANES):
+            hi = min(base + MAX_LANES, classes[kind])
             model = _pass_model(plan, kind, base, hi)
             packed = PackedMemoryArray(n, lanes=hi - base, m=stream.m)
             model.install(packed)
@@ -1066,120 +1007,19 @@ def run_campaign_batched(stream: OpStream, universe: Iterable[Fault],
             done += hi - base
             if progress is not None:
                 progress(done, total)
+    if fallback:
+        def remap(sub_done: int, _sub_total: int) -> None:
+            progress(done + sub_done, total)
 
-    try:
-        for kind in sorted(local_classes):
-            run_lane_pass(kind, local_classes[kind])
-    except BaseException:
-        # A lane pass blew up (buggy custom lane model, Ctrl-C) with
-        # shards already queued: kill them with the pool so they cannot
-        # linger and tax the next campaign on a shared pool.
-        if pending is not None:
-            pending[0].mark_broken()
-        raise
-
-    pool_ops = 0
-
-    def merge(tag, lo, hi, data) -> int:
-        # Position-keyed, so completion order cannot change the result.
-        # Ops accumulate separately and are committed only on a
-        # successful drain -- a mid-drain pool failure re-runs the
-        # remainder serially and must not double-count.
-        nonlocal pool_ops
-        if tag == "scalar":
-            for index, (det, executed) in zip(fallback[lo:hi], data,
-                                              strict=True):
-                verdicts[index] = det
-                pool_ops += executed
-        else:  # "lane": one worker-side pass over class members [lo:hi)
-            kind, detected, executed = data
-            plan.unpack(kind, lo, hi, detected, verdicts)
-            pool_ops += executed
-        return hi - lo
-
-    finished = False
-    if pending is not None:
-        expected = len(fallback) + sum(shipped.values())
-        final = _finish_shards(pending, merge, progress, done, total,
-                               expected)
-        if final is not None:
-            result.workers_used = effective
-            result.operations_replayed += pool_ops
-            done = final
-            finished = True
-    if not finished and (fallback or shipped):
-        # Serial path, or process fan-out unavailable / broken mid-run:
-        # re-run everything the pool owed (partial merges are simply
-        # overwritten; the monotonic progress clamp hides the rewind).
-        for kind in sorted(shipped):
-            run_lane_pass(kind, shipped[kind])
-        if fallback:
-            batched_done = done
-
-            def _remap(sub_done: int, _sub_total: int) -> None:
-                progress(batched_done + sub_done, total)
-
-            scalar = run_campaign(stream, [faults[i] for i in fallback],
-                                  progress=_remap if progress is not None
-                                  else None,
-                                  reference_check=False)
-            result.operations_replayed += scalar.operations_replayed
-            for index, detected in zip(fallback, scalar.verdicts,
-                                       strict=True):
-                verdicts[index] = detected
+        scalar = run_campaign(stream, [faults[i] for i in fallback],
+                              workers=workers, pool=pool,
+                              progress=remap if progress is not None
+                              else None,
+                              reference_check=False)
+        result.workers_used = scalar.workers_used
+        result.operations_replayed += scalar.operations_replayed
+        for index, detected in zip(fallback, scalar.verdicts, strict=True):
+            verdicts[index] = detected
     result.faults = faults
     result.verdicts = verdicts
     return result
-
-
-def _start_shards(stream, faults, plan, fallback, shipped, spec, workers,
-                  pool):
-    """Queue scalar + lane shards, each carrying the stream, on the pool.
-
-    Scalar shards follow the fixed plan of
-    :func:`~repro.sim.campaign.run_campaign`; lane chunks are cut so
-    every worker gets a few per class without multiplying pass count (a
-    pass costs one replay regardless of width).  Returns ``(pool,
-    results)`` with tasks already running, or ``None`` when no pool is
-    available (the caller then runs everything serially).
-    """
-    if pool is None:
-        pool = shared_pool(workers)
-    n, m = stream.n, stream.m
-    # Only a universe without a spec ships its remainder as fault lists.
-    scalar_faults = [faults[index] for index in fallback] \
-        if spec is None else None
-    try:
-        stream_pair = pool.stream_pair(stream)
-        tasks = [_scalar_task("fallback", stream_pair, spec, lo, hi,
-                              scalar_faults, n, m)
-                 for lo, hi in _shard_plan(len(fallback), pool.workers)]
-        for kind in sorted(shipped):
-            lanes = shipped[kind]
-            width = min(MAX_LANES,
-                        max(LANE_SHARD_MIN_CHUNK,
-                            -(-lanes // (pool.workers * 2))))
-            members = plan.members(kind) if spec is None else None
-            for base in range(0, lanes, width):
-                hi = min(base + width, lanes)
-                if spec is not None:
-                    tasks.append(("lane", stream_pair, spec, kind, base, hi,
-                                  None, n, m))
-                else:
-                    chunk_faults = [faults[i] for i in members[base:hi]]
-                    tasks.append(("lane-list", stream_pair, None, kind, base,
-                                  hi, chunk_faults, n, m))
-        return pool, pool.imap_unordered(_run_task, tasks)
-    except POOL_FAILURES as exc:
-        _pool_failed(pool, exc)
-        return None
-
-
-def _finish_shards(pending, merge, progress, done, total, expected):
-    """Drain the campaign's shards; ``None`` if the pool broke mid-run."""
-    pool, results = pending
-    try:
-        return _drain_shards(results, expected, progress, done, total, merge)
-    except POOL_FAILURES as exc:
-        _pool_failed(pool, exc)
-        return None

@@ -44,16 +44,10 @@ import multiprocessing
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from dataclasses import fields as dataclass_fields
-from functools import lru_cache
 
 from repro.faults.base import Fault, VectorSemantics
 from repro.faults.injector import FaultInjector
-from repro.faults.universe import (
-    DescriptorTable,
-    FaultUniverse,
-    UniverseSpec,
-    materialize_spec,
-)
+from repro.faults.universe import DescriptorTable, materialize_spec
 from repro.memory.multiport import MultiPortRAM, PortConflictError
 from repro.memory.ram import SinglePortRAM
 from repro.sim.ir import OpStream
@@ -346,117 +340,31 @@ def _fits_geometry(semantics: VectorSemantics, n: int, m: int) -> bool:
 
 # -- process sharding -------------------------------------------------------
 #
-# A shard is a self-describing task tuple executed by ``_run_task``
-# inside a pool worker.  ``stream_pair`` is the campaign's
-# ``(digest, blob)`` (``WorkerPool.stream_pair``): every task carries
-# the stream.  Scalar shards are
+# A shard is a task tuple executed by ``_run_task`` inside a pool worker:
 #
-#     (mode, stream_pair, spec, lo, hi, faults, n, m)
+#     (stream_pair, spec, lo, hi, faults)
 #
-# where ``mode`` selects how the shard's faults are obtained:
+# ``stream_pair`` is the campaign's ``(digest, blob)``
+# (``WorkerPool.stream_pair``): every task carries the stream.  A
+# universe with a spec ships ``faults=None`` and the worker replays
+# ``materialize_spec(spec)[lo:hi]`` -- re-enumerated locally, cached per
+# worker, so the task carries no fault objects at all; any other
+# universe (hand-built lists, the batched engine's scalar remainder)
+# ships its ``[lo:hi]`` faults pickled.  Every completed task yields
 #
-# ``"slice"``     ``materialize_spec(spec)[lo:hi]`` -- the universe is
-#                 re-enumerated locally (cached per worker), so the task
-#                 carries no fault objects at all;
-# ``"fallback"``  the ``[lo:hi]`` slice of the *scalar-fallback* portion
-#                 of the spec'd universe (the batched engine's remainder),
-#                 derived locally from the spec's descriptor table;
-# ``"list"``      an explicit pickled fault list (universes without a
-#                 spec -- hand-built lists, custom iterables).
+#     (lo, hi, outcomes)
 #
-# Lane shards (:mod:`repro.sim.batched` fans whole lane passes out over
-# the same pool) are
-#
-#     ("lane"|"lane-list", stream_pair, spec, kind, lo, hi, faults, n, m)
-#
-# covering members ``[lo:hi]`` of the partition class ``kind``.
-# Every completed task yields one payload
-#
-#     (tag, lo, hi, data)
-#
-# merged into position-keyed arrays, which is why verdicts are
+# merged into a position-keyed array, which is why verdicts are
 # byte-identical regardless of completion order.
 
 
-@lru_cache(maxsize=8)
-def _lane_members(spec: UniverseSpec, n: int, m: int):
-    """Worker-side cache: ``(plan, fallback_faults)`` of a spec'd
-    universe on an ``n x m`` stream.
-
-    The same lane plan the parent made
-    (:func:`repro.sim.batched.lane_plan_of`), so a lane task builds its
-    pass's columns from the plan's slice and a worker builds a fault
-    only for the scalar remainder it may be asked to replay.
-    """
-    # Late import: batched.py imports this module.
-    from repro.sim.batched import lane_plan_of
-
-    universe = FaultUniverse.from_spec(spec)
-    plan = lane_plan_of(universe, n, m)
-    return plan, tuple(universe[index] for index in plan.fallback)
-
-
-def _shard_faults(mode, spec, lo, hi, faults, n, m):
-    if mode == "list":
-        return faults
-    if mode == "slice":
-        return materialize_spec(spec)[lo:hi]
-    if mode == "fallback":
-        return _lane_members(spec, n, m)[1][lo:hi]
-    raise ValueError(f"unknown shard mode {mode!r}")
-
-
-def _run_scalar_task(task) -> tuple:
-    """Replay one scalar shard: ``("scalar", lo, hi, outcomes)``."""
-    mode, stream_pair, spec, lo, hi, faults, n, m = task
-    stream = worker_stream(*stream_pair)
-    return ("scalar", lo, hi,
-            [_run_one(stream, fault)
-             for fault in _shard_faults(mode, spec, lo, hi, faults, n, m)])
-
-
-def _run_lane_task(task) -> tuple:
-    """Execute one lane pass (a chunk of one fault class) worker-side.
-
-    The pass replays the stream once over packed columns; the parent
-    sizes the chunks.  Returns ``("lane", lo, hi, (kind, detected_mask,
-    executed))`` with lane ``i`` of the mask holding the verdict of
-    class member ``lo + i``.
-    """
-    # Late imports: batched.py imports this module, and under fork the
-    # worker has everything loaded anyway.
-    from repro.memory.packed import PackedMemoryArray
-    from repro.sim.batched import _pass_model, build_lane_model
-
-    tag, stream_pair, spec, kind, lo, hi, faults, n, m = task
-    stream = worker_stream(*stream_pair)
-    if tag == "lane":
-        model = _pass_model(_lane_members(spec, n, m)[0], kind, lo, hi)
-    else:  # "lane-list": explicit faults (universes without a spec)
-        model = build_lane_model(
-            kind, [fault.vector_semantics() for fault in faults])
-    packed = PackedMemoryArray(n, lanes=hi - lo, m=m)
-    model.install(packed)
-    detected, executed = packed.apply_stream(stream.ops, tables=stream.tables,
-                                             model=model)
-    return ("lane", lo, hi, (kind, detected, executed))
-
-
 def _run_task(task) -> tuple:
-    """Pool unit of work: dispatch one shard task by its tag."""
-    tag = task[0]
-    if tag in ("slice", "fallback", "list"):
-        return _run_scalar_task(task)
-    if tag in ("lane", "lane-list"):
-        return _run_lane_task(task)
-    raise ValueError(f"unknown shard task tag {tag!r}")
-
-
-def _scalar_task(mode, stream_pair, spec, lo, hi, faults, n, m) -> tuple:
-    """Build one scalar shard task for the ``[lo:hi)`` fault range."""
-    if spec is None:
-        return ("list", stream_pair, None, lo, hi, faults[lo:hi], n, m)
-    return (mode, stream_pair, spec, lo, hi, None, n, m)
+    """Pool unit of work: replay one shard, ``(lo, hi, outcomes)``."""
+    stream_pair, spec, lo, hi, faults = task
+    stream = worker_stream(*stream_pair)
+    if faults is None:
+        faults = materialize_spec(spec)[lo:hi]
+    return lo, hi, [_run_one(stream, fault) for fault in faults]
 
 
 def _shard_plan(total: int, workers: int) -> list[tuple[int, int]]:
@@ -586,8 +494,8 @@ def run_campaign(stream: OpStream, universe: Iterable[Fault],
     return result
 
 
-#: Exceptions that mean "the pool cannot serve this campaign" -- callers
-#: hand them to :func:`_pool_failed` and degrade to single-process
+#: Exceptions that mean "the pool cannot serve this campaign": the pool
+#: is marked broken and the campaign degrades to single-process
 #: execution.
 POOL_FAILURES = (PoolUnavailable, OSError, PermissionError, ImportError)
 
@@ -602,25 +510,21 @@ _log = logging.getLogger("repro.sim")
 SHARD_TIMEOUT = 300.0
 
 
-def _drain_shards(results, expected: int, progress, done: int, total: int,
-                  on_payload) -> int:
-    """Merge shard payloads as they complete; returns the new ``done``.
+def _drain_shards(results, outcomes: list, progress) -> None:
+    """Merge shard payloads into ``outcomes`` as they complete.
 
     ``results`` is the ``imap_unordered`` iterator over the campaign's
-    tasks.  ``on_payload(tag, lo, hi, data)`` merges one completed task
-    into the caller's position-keyed arrays and returns the number of
-    faults it covered; ``done``/``total`` let the batched engine account
-    for lane passes that already happened.  Raises
-    :class:`PoolUnavailable` when no result arrives within
+    tasks; each ``(lo, hi, data)`` payload fills ``outcomes[lo:hi]``.
+    Raises :class:`PoolUnavailable` when no result arrives within
     ``SHARD_TIMEOUT`` (a worker died with tasks in flight), and
     ``RuntimeError`` when the workers covered a different fault count
-    than the parent expects (spec drift) -- silently-truncated verdicts
+    than ``len(outcomes)`` (spec drift) -- silently-truncated verdicts
     must never merge.
     """
     covered = 0
     while True:
         try:
-            tag, lo, hi, data = results.next(SHARD_TIMEOUT)
+            lo, hi, data = results.next(SHARD_TIMEOUT)
         except StopIteration:
             break
         except multiprocessing.TimeoutError:
@@ -628,38 +532,24 @@ def _drain_shards(results, expected: int, progress, done: int, total: int,
                 f"no shard result within {SHARD_TIMEOUT:.0f}s -- worker "
                 f"lost mid-task?"
             ) from None
-        step = on_payload(tag, lo, hi, data)
-        covered += step
-        done += step
+        outcomes[lo:hi] = data
+        covered += hi - lo
         if progress is not None:
-            progress(done, total)
-    if covered != expected:
+            progress(covered, len(outcomes))
+    if covered != len(outcomes):
         raise RuntimeError(
             f"sharded campaign covered {covered} outcomes for "
-            f"{expected} faults -- the universe spec does not "
+            f"{len(outcomes)} faults -- the universe spec does not "
             f"re-enumerate identically in the workers"
         )
-    return done
-
-
-def _pool_failed(pool: WorkerPool, exc: BaseException) -> None:
-    """Mark ``pool`` broken and warn that the campaign runs serially.
-
-    The pool could not start (sandbox) or lost a worker mid-run: a
-    broken pool is closed so the next campaign gets a fresh one, and
-    this campaign degrades to the serial path rather than failing.
-    """
-    pool.mark_broken()
-    _log.warning("worker pool unavailable (%s: %s); running serially",
-                 type(exc).__name__, exc)
 
 
 def _monotonic_progress(progress):
     """Wrap a progress hook so reported ``done`` never decreases.
 
-    When a pool breaks mid-drain the campaign re-runs the remainder
-    serially from zero; without the clamp the hook would observe
-    ``done`` jump backwards and the same faults counted twice.
+    When a pool breaks mid-drain the campaign re-runs serially from
+    zero; without the clamp the hook would observe ``done`` jump
+    backwards and the same faults counted twice.
     """
     if progress is None:
         return None
@@ -679,24 +569,24 @@ def _run_sharded(stream, faults, spec, workers, pool,
     """Fan fixed shards out over the pool; ``None`` when unavailable.
 
     Completed payloads merge into a position-keyed array -- identical
-    verdicts to the serial path regardless of which worker ran what.
+    verdicts to the serial path regardless of which worker ran what.  A
+    pool that cannot start or breaks mid-run is marked broken (the next
+    campaign gets a fresh one) and the campaign degrades to the serial
+    path with a warning rather than failing.
     """
     if pool is None:
         pool = shared_pool(workers)
     outcomes: list = [None] * len(faults)
-
-    def merge(tag, lo, hi, data):
-        outcomes[lo:hi] = data
-        return hi - lo
-
     try:
         stream_pair = pool.stream_pair(stream)
-        tasks = [_scalar_task("slice", stream_pair, spec, lo, hi, faults,
-                              stream.n, stream.m)
+        tasks = [(stream_pair, spec, lo, hi,
+                  None if spec is not None else faults[lo:hi])
                  for lo, hi in _shard_plan(len(faults), pool.workers)]
-        _drain_shards(pool.imap_unordered(_run_task, tasks), len(faults),
-                      progress, 0, len(faults), merge)
+        _drain_shards(pool.imap_unordered(_run_task, tasks), outcomes,
+                      progress)
         return outcomes
     except POOL_FAILURES as exc:
-        _pool_failed(pool, exc)
+        pool.mark_broken()
+        _log.warning("worker pool unavailable (%s: %s); running serially",
+                     type(exc).__name__, exc)
         return None

@@ -20,9 +20,8 @@ therefore outlives individual campaigns:
   of its next task.  :meth:`WorkerPool.broadcast_stats` counts the
   digests shipped and the campaigns that reused one;
 * **unordered drain** -- :meth:`WorkerPool.imap_unordered` queues a
-  campaign's whole task list at once, so workers start while the parent
-  does its own work (the batched engine's lane passes), and results
-  surface in completion order for a position-keyed merge;
+  campaign's whole task list at once, and results surface in completion
+  order for a position-keyed merge;
 * **spec shards** -- combined with
   :class:`repro.faults.universe.UniverseSpec`, a unit of work is just
   ``((digest, blob), spec, index range)``: workers enumerate their

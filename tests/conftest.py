@@ -33,11 +33,11 @@ def no_pools(monkeypatch):
     """Make starting a worker pool fail: ``WorkerPool`` and
     ``shared_pool`` (in every module that imports it) raise instead."""
     import repro.sim
-    from repro.sim import batched, campaign, pool
+    from repro.sim import campaign, pool
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"a worker pool was started: {args!r}")
 
     monkeypatch.setattr(pool, "WorkerPool", refuse)
-    for module in (pool, repro.sim, campaign, batched):
+    for module in (pool, repro.sim, campaign):
         monkeypatch.setattr(module, "shared_pool", refuse)

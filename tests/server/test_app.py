@@ -3,6 +3,8 @@
 import asyncio
 import json
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -11,8 +13,17 @@ from repro.analysis.request import (
     MAX_WORD_BITS,
     MAX_WORKERS,
     CampaignRequest,
+    RequestError,
+    execute_request,
 )
-from repro.server import JobManager, ResultCache, TestClient, create_app
+from repro.faults.universe import UniverseSpec
+from repro.server import (
+    JobManager,
+    ReproApp,
+    ResultCache,
+    TestClient,
+    create_app,
+)
 from repro.server.http import serve
 
 
@@ -266,13 +277,44 @@ class TestJobManager:
     def test_history_bound_drops_only_finished_jobs(self):
         manager = JobManager(cache=ResultCache(), history=2)
         try:
-            jobs = [manager.submit_coverage(CampaignRequest(test="mats", n=8))
-                    for _ in range(4)]
-            for job in jobs:
-                manager.wait(job.id, timeout=30.0)
+            jobs = []
+            for _ in range(4):  # one at a time: the live queue is bounded
+                jobs.append(manager.submit_coverage(
+                    CampaignRequest(test="mats", n=8)))
+                manager.wait(jobs[-1].id, timeout=30.0)
             manager.submit_coverage(CampaignRequest(test="mats", n=10))
             assert manager.get(jobs[0].id) is None  # aged out
         finally:
+            manager.close()
+
+    def test_full_queue_answers_429_until_a_job_finishes(self):
+        manager = JobManager(cache=ResultCache(), history=2)
+        permits = threading.Semaphore(0)
+
+        def blocked(job, request):
+            job.status = "running"
+            permits.acquire(timeout=30.0)
+            manager._finish(job, result={})
+
+        manager._run_coverage = blocked
+        client = TestClient(ReproApp(cache=manager.cache,
+                                     job_manager=manager))
+        body = {"kind": "coverage", "request": {"test": "mats", "n": 8}}
+        try:
+            assert [client.post("/jobs", body).status
+                    for _ in range(2)] == [202, 202]
+            refused = client.post("/jobs", body)
+            assert refused.status == 429
+            assert refused.headers["retry-after"] == "1"
+            assert "queued or running" in refused.json()["error"]
+            permits.release()
+            deadline = time.monotonic() + 30.0
+            while not manager.stats()["done"] \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.post("/jobs", body).status == 202
+        finally:
+            permits.release(3)
             manager.close()
 
     def test_error_jobs_carry_the_message(self, monkeypatch):
@@ -291,6 +333,40 @@ class TestJobManager:
             assert "error" in final.to_dict()
         finally:
             manager.close()
+
+
+# (request n, generator, kwargs): each spec must be refused as a request
+# error, never raise out of the app, never run on cells it lacks.
+_MALFORMED_SPECS = [
+    (16, "coupling", {"n": 40}),
+    (32, "coupling", {"n": 40}),
+    (16, "coupling", {"n": "x"}),
+    (16, "coupling", {"n": 10**9}),
+    (16, "coupling", {"n": 16, "m": 8}),
+    (16, "coupling", {"bogus": 1}),
+    (16, "coupling", {"n": 16, "bogus": 1}),
+    (16, "single_cell", {"n": -3}),
+    (16, "single_cell", {"n": 40}),
+    (16, "single_cell", {"n": True}),
+    (16, "coupling", {"n": 1}),  # the generator's own two-cell floor
+]
+
+
+@pytest.mark.parametrize("n, generator, kwargs", _MALFORMED_SPECS)
+def test_malformed_universe_spec_is_a_request_error(n, generator, kwargs):
+    spec = UniverseSpec(generator, kwargs=tuple(sorted(kwargs.items())))
+    with pytest.raises(RequestError, match="universe spec"):
+        execute_request(CampaignRequest(test="march-c", n=n, universe=spec),
+                        cache=False)
+    app = create_app(cache=ResultCache())
+    try:
+        response = TestClient(app).post("/coverage", {
+            "test": "march-c", "n": n,
+            "universe": {"generator": generator, "kwargs": kwargs}})
+    finally:
+        app.close()
+    assert response.status == 400
+    assert "universe spec" in response.json()["error"]
 
 
 class TestCacheIntegration:

@@ -13,8 +13,7 @@ constructors through the rows -> columns adapter.  The two must agree:
   descriptors, for passes cut at any width -- so also inside a record,
   e.g. between two faults of one coupled pair;
 * campaign verdicts equal ``run_campaign``'s on a March C- stream and a
-  dual-port stream, also with a lane cap that cuts coupled pairs, and
-  lane passes run in pool workers merge to the serial verdicts.
+  dual-port stream, also with a lane cap that cuts coupled pairs.
 """
 
 from hypothesis import event, given, settings
@@ -27,7 +26,7 @@ from repro.faults import (
     descriptor_table,
     standard_universe_spec,
 )
-from repro.sim import WorkerPool, batched
+from repro.sim import batched
 from repro.faults.universe import LanePlan
 from repro.sim.batched import (
     _ROW_COLUMNS,
@@ -160,21 +159,3 @@ def test_lane_cap_inside_coupled_pairs(monkeypatch):
             _assert_verdicts_match(spec, test, n, m)
             plan = lane_plan_of(FaultUniverse.from_spec(spec), n, m)
             assert isinstance(plan, LanePlan)
-
-
-def test_pool_lane_passes_match_serial(monkeypatch):
-    # Lane passes shipped to pool workers: a spec'd universe travels as
-    # ("lane", spec, kind, lo, hi) and each worker builds the pass's
-    # columns from its own plan; a hand-built list travels as faults
-    # through the rows adapter.  Chunks of 16 lanes cut coupled pairs.
-    monkeypatch.setattr(batched, "LANE_SHARD_MIN_FAULTS", 1)
-    monkeypatch.setattr(batched, "LANE_SHARD_MIN_CHUNK", 16)
-    spec = standard_universe_spec(12, 4, seed=2)
-    stream = _stream("march-c", 12, 4)
-    serial = run_campaign_batched(stream, FaultUniverse.from_spec(spec))
-    with WorkerPool(2) as pool:
-        for universe in (FaultUniverse.from_spec(spec),
-                         list(FaultUniverse.from_spec(spec))):
-            sharded = run_campaign_batched(stream, universe, pool=pool)
-            assert sharded.workers_used == 2
-            assert sharded.verdicts == serial.verdicts

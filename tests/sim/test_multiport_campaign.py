@@ -17,6 +17,7 @@ import pickle
 
 import pytest
 
+from repro.analysis import coverage as coverage_module
 from repro.analysis import (
     dual_port_runner,
     multi_schedule_runner,
@@ -420,6 +421,26 @@ class TestGroupedRetentionClock:
         assert verdicts == [False, False, False, True, True, True]
 
 
+@pytest.fixture(scope="module")
+def dual_port_compiled(universe_256):
+    """The compiled dual-port campaign over ``standard_universe(256)``,
+    run once for the module: ``(report, stream, campaign)`` -- the
+    ``run_coverage(engine="compiled")`` report, and the stream and
+    :class:`~repro.sim.campaign.CampaignResult` it was made from."""
+    campaigns = []
+
+    def recording_run_campaign(stream, universe, **kwargs):
+        campaigns.append((stream, run_campaign(stream, universe, **kwargs)))
+        return campaigns[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coverage_module, "run_campaign", recording_run_campaign)
+        report = run_coverage(dual_port_runner(DualPortPiIteration(
+            seed=(0, 1))), universe_256, 256, engine="compiled")
+    ((stream, campaign),) = campaigns
+    return report, stream, campaign
+
+
 class TestMultiPortCampaign256:
     """The acceptance sweep: CoverageReport byte-identical between the
     interpreted, compiled and *batched* dual-/quad-port campaigns over
@@ -428,10 +449,10 @@ class TestMultiPortCampaign256:
     no scalar delegation -- so its report is pinned against the proven
     per-fault path too."""
 
-    def test_dual_port_byte_identical(self, universe_256):
+    def test_dual_port_byte_identical(self, universe_256,
+                                      dual_port_compiled):
         iteration = DualPortPiIteration(seed=(0, 1))
-        compiled = run_coverage(dual_port_runner(iteration), universe_256,
-                                256, engine="compiled")
+        compiled = dual_port_compiled[0]
         interpreted = run_coverage(dual_port_runner(iteration), universe_256,
                                    256, engine="interpreted")
         batched = run_coverage(dual_port_runner(iteration), universe_256,
@@ -448,7 +469,8 @@ class TestMultiPortCampaign256:
                                256, engine="batched")
         assert_reports_identical(compiled, interpreted, batched)
 
-    def test_batched_engine_lane_resolves_identically(self, universe_256):
+    def test_batched_engine_lane_resolves_identically(self, universe_256,
+                                                      dual_port_compiled):
         # The tentpole acceptance: the whole standard universe rides
         # lane passes through the grouped packed executor -- zero
         # faults delegated to the per-fault scalar path.
@@ -456,7 +478,8 @@ class TestMultiPortCampaign256:
         stream = cached_dual_port_stream(iteration, 256)
         batched = run_campaign_batched(stream, universe_256)
         assert batched.faults_batched == len(universe_256)
-        compiled = run_campaign(stream, universe_256)
+        compiled_stream, compiled = dual_port_compiled[1:]
+        assert compiled_stream.digest() == stream.digest()
         assert [d for _, d in batched.outcomes] == \
             [d for _, d in compiled.outcomes]
 

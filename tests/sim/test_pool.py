@@ -200,7 +200,7 @@ class TestWorkerPool:
         worker_cache.clear()
         outcomes = [None] * len(universe)
         for task in pool.tasks:
-            tag, lo, hi, data = _run_task(task)
+            lo, hi, data = _run_task(task)
             outcomes[lo:hi] = data
         assert [detected for detected, _ in outcomes] == \
             _verdicts(run_campaign(stream, universe))
@@ -289,37 +289,30 @@ class TestShardedRunCampaign:
                 raise multiprocessing.TimeoutError
 
         with pytest.raises(PoolUnavailable, match="worker lost"):
-            _drain_shards(LostResults(), 5, None, 0, 5, lambda *a: 0)
+            _drain_shards(LostResults(), [None] * 5, None)
 
     def test_drain_merges_out_of_order_payloads_in_position(self):
         # imap_unordered yields shards in completion order; every one
         # must land in its own universe range, exactly once.
         total = 37
-        payloads = [("scalar", lo, min(lo + 10, total),
+        payloads = [(lo, min(lo + 10, total),
                      [(True, index) for index in range(lo, min(lo + 10,
                                                                total))])
                     for lo in range(0, total, 10)][::-1]
         outcomes = [None] * total
-
-        def merge(tag, lo, hi, data):
-            assert tag == "scalar"
-            assert outcomes[lo:hi] == [None] * (hi - lo)  # no duplicates
-            outcomes[lo:hi] = data
-            return hi - lo
-
         seen = []
-        done = _drain_shards(_Results(payloads), total,
-                             lambda d, t: seen.append(d), 0, total, merge)
-        assert done == total
+        _drain_shards(_Results(payloads), outcomes,
+                      lambda d, t: seen.append((d, t)))
         assert outcomes == [(True, index) for index in range(total)]
-        assert seen == sorted(seen)  # progress is monotonic
+        assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+        assert seen[-1] == (total, total)
 
     def test_drain_rejects_short_coverage(self):
         # A worker that silently covers fewer faults than expected must
         # fail the campaign loudly, never merge truncated verdicts.
-        results = _Results([("scalar", 0, 1, [(True, 0)])])
+        results = _Results([(0, 1, [(True, 0)])])
         with pytest.raises(RuntimeError, match="covered 1"):
-            _drain_shards(results, 5, None, 0, 5, lambda *a: 1)
+            _drain_shards(results, [None] * 5, None)
 
 
 class TestShardPlan:

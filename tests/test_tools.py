@@ -454,59 +454,6 @@ class TestCheckBenchLaneRows:
             "(did the benchmark's row identities change?)"]
 
 
-class TestCheckBenchSchedulerGates:
-    """The current-run-only process-sharding gate."""
-
-    @staticmethod
-    def _shared():
-        return [{"test": "March C-", "n": 64, "compiled_s": 1.0}]
-
-    @staticmethod
-    def _lane_row(**overrides):
-        row = {"test": "March C-", "n": 1024,
-               "universe": "standard lane-sharded", "faults": 27000,
-               "workers": 2, "batched_s": 0.6, "sharded_s": 0.3,
-               "sharded_vs_serial": 2.0}
-        row.update(overrides)
-        return row
-
-    def test_lane_sharded_slowdown_gated_on_multicore(self):
-        base = {"rows": self._shared()}
-        current = {"rows": self._shared(), "cpus": 4,
-                   "sharded_rows": [self._lane_row(sharded_vs_serial=0.8)]}
-        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
-        assert any("0.80x the serial batched engine" in r
-                   for r in regressions)
-
-    def test_lane_sharded_gate_skipped_on_one_cpu(self):
-        base = {"rows": self._shared()}
-        current = {"rows": self._shared(), "cpus": 1,
-                   "sharded_rows": [self._lane_row(sharded_vs_serial=0.8)]}
-        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
-        assert not regressions
-
-    def test_sub_threshold_lane_row_is_exempt(self):
-        # Quick mode's n=64 row never engages the pool (below the
-        # lane-shard fault threshold): overhead by design, not gated.
-        base = {"rows": self._shared()}
-        current = {"rows": self._shared(), "cpus": 4,
-                   "sharded_rows": [self._lane_row(
-                       n=64, faults=1738, sharded_vs_serial=0.5)]}
-        _, regressions = check_bench.compare(base, current, 3.0, 0.05)
-        assert not regressions
-
-    def test_custom_sharded_floor(self):
-        base = {"rows": self._shared()}
-        current = {"rows": self._shared(), "cpus": 4,
-                   "sharded_rows": [self._lane_row(sharded_vs_serial=2.0)]}
-        _, ok = check_bench.compare(base, current, 3.0, 0.05,
-                                    min_sharded_speedup=1.5)
-        _, bad = check_bench.compare(base, current, 3.0, 0.05,
-                                     min_sharded_speedup=3.0)
-        assert not ok
-        assert any("floor 3.0x" in r for r in bad)
-
-
 #: A ``_resolve`` that takes the recipe only (lint rule 5's clean case).
 CLEAN_RESOLVE = (
     "def _resolve(request):\n"

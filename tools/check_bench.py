@@ -54,14 +54,6 @@ request) and ``lane_rows`` (one lane class's passes of one cold request)
 have no gate of their own: their ``*_s`` timings are diffed against the
 baseline like every other section's.
 
-One more current-run-only ratio gate guards process sharding: on a
-multi-core host (``cpus >= 2`` in the current summary), every
-``sharded_rows`` row of the ``standard lane-sharded`` universe big
-enough to engage the pool (``faults >= 4096``, the lane-shard
-threshold) must show ``sharded_vs_serial >= --min-sharded-speedup``.
-Single-core hosts (and quick-mode's sub-threshold rows) skip the gate
--- there the row measures pure dispatch overhead by design.
-
 Usage::
 
     python tools/check_bench.py \
@@ -79,12 +71,6 @@ ROW_SECTIONS = ("rows", "single_cell_rows", "multiport_rows",
                 "wordlane_rows", "sharded_rows", "cache_rows",
                 "default_rows", "spec_lane_rows", "plan_rows",
                 "glue_rows", "lane_rows", "fallback_summary")
-
-#: run_campaign_batched ships whole lane-pass chunks to the pool only
-#: past this many vectorizable faults (repro.sim.batched
-#: LANE_SHARD_MIN_FAULTS); smaller lane-sharded rows measure pure
-#: dispatch overhead and are exempt from the speedup gate.
-LANE_SHARD_MIN_FAULTS = 4096
 
 #: Floor of a ``default_rows`` row's ``default_vs_compiled``; rows
 #: smaller than ``DEFAULT_GATE_MIN_FAULTS`` faults are exempt.
@@ -116,35 +102,12 @@ def _index_rows(summary: dict) -> dict[tuple, dict]:
 
 def compare(baseline: dict, current: dict, max_slowdown: float,
             min_seconds: float,
-            min_cache_speedup: float = 100.0,
-            min_sharded_speedup: float = 1.5) -> tuple[list[str], list[str]]:
+            min_cache_speedup: float = 100.0) -> tuple[list[str], list[str]]:
     """Returns (comparison lines, regression lines)."""
     lines: list[str] = []
     regressions: list[str] = []
     base_rows = _index_rows(baseline)
     cur_rows = _index_rows(current)
-    # Lane-sharded speedup gate: multi-core hosts must show workers=N
-    # beating the serial batched engine on rows that actually engage the
-    # pool.  Ratio of two same-host timings, so current-run-only.
-    if (current.get("cpus") or 0) >= 2:
-        for row in current.get("sharded_rows", ()):
-            ratio = row.get("sharded_vs_serial")
-            if row.get("universe") != "standard lane-sharded" \
-                    or not isinstance(ratio, (int, float)) \
-                    or row.get("faults", 0) < LANE_SHARD_MIN_FAULTS:
-                continue
-            label = f"{row.get('test')} n={row.get('n')} [lane-sharded]"
-            verdict = "ok"
-            if ratio < min_sharded_speedup:
-                verdict = "REGRESSION"
-                regressions.append(
-                    f"{label}: workers={row.get('workers')} only {ratio:.2f}x "
-                    f"the serial batched engine on {current.get('cpus')} cpus "
-                    f"(floor {min_sharded_speedup:.1f}x)"
-                )
-            lines.append(f"{label:>40} {'vs_serial':>14} "
-                         f"{ratio:>10.2f}x (floor "
-                         f"{min_sharded_speedup:.1f}x) {verdict}")
     # Result-cache gate: same-host cold/warm ratio, checked against the
     # current run alone (an older baseline without cache_rows still
     # gates a fresh run that has them).
@@ -256,10 +219,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail when a cache_rows warm hit is less than "
                              "this many times faster than its cold campaign "
                              "(default: 100)")
-    parser.add_argument("--min-sharded-speedup", type=float, default=1.5,
-                        help="on a >=2-cpu host, fail when a lane-sharded "
-                             "row's workers=N run is less than this many "
-                             "times faster than serial batched (default: 1.5)")
     args = parser.parse_args(argv)
 
     with open(args.baseline) as handle:
@@ -269,8 +228,7 @@ def main(argv: list[str] | None = None) -> int:
 
     lines, regressions = compare(baseline, current,
                                  args.max_slowdown, args.min_seconds,
-                                 args.min_cache_speedup,
-                                 args.min_sharded_speedup)
+                                 args.min_cache_speedup)
     for line in lines:
         print(line)
     base_cpus, cur_cpus = baseline.get("cpus"), current.get("cpus")
