@@ -104,8 +104,11 @@ schedule at n=512/m=1 and n=176/m=8: a fresh stream compile (its digest
 must equal the request path's stream), the error-only static verify of
 the request gate, and naming the missed faults from the descriptor rows
 (``FaultUniverse.name_of``), with building each missed fault to read its
-name as the reference (the two name lists must be equal).  The section
-has no gate of its own; ``tools/check_bench.py`` diffs its timings
+name as the reference (the two name lists must be equal).  Its
+``reseed_s`` column times resolution, the request gate and the
+reference pass of a request that only reseeds the universe of a
+geometry already served; that request's stream must be the first
+request's object.  The section has no gate of its own; ``tools/check_bench.py`` diffs its timings
 against the baseline.
 
 An eleventh section (``lane_rows``) times the lane kernels of the same
@@ -134,6 +137,7 @@ so the benchmark trajectory can be tracked across PRs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pickle
@@ -153,7 +157,10 @@ from repro.analysis import (  # noqa: E402
     run_request,
     schedule_runner,
 )
-from repro.analysis.request import build_field  # noqa: E402
+from repro.analysis.request import (  # noqa: E402
+    _ensure_stream_verified,
+    build_field,
+)
 from repro.faults import (  # noqa: E402
     FaultUniverse,
     bridging_universe,
@@ -198,6 +205,7 @@ from repro.sim.batched import (  # noqa: E402
     MAX_LANES,
     lane_plan_of,
 )
+from repro.sim.campaign import _reference_pass  # noqa: E402
 
 SIZES = (64, 256, 1024)
 SAMPLE = {64: None, 256: 400, 1024: 200}  # None = full universe
@@ -830,6 +838,17 @@ def _compile_uncached(selector: str, n: int, m: int):
         ports=2, field=field, generator=generator), n, m)
 
 
+def _serve_reseeded(request: CampaignRequest, seed: int):
+    """Resolve ``request`` with its default universe reseeded, and pass
+    the checks its campaign runs first: the request gate and the
+    reference pass."""
+    resolved = resolve_campaign(request.replace(
+        universe=standard_universe_spec(request.n, request.m, seed=seed)))
+    _ensure_stream_verified(resolved)
+    _reference_pass(resolved.compile(), request.n, request.m)
+    return resolved
+
+
 def bench_glue(n: int, m: int) -> list[dict]:
     """The per-request glue around the lane kernels of a cold request.
 
@@ -838,7 +857,11 @@ def bench_glue(n: int, m: int) -> list[dict]:
     gate runs, and naming the campaign's missed faults from the
     descriptor rows (``FaultUniverse.name_of``) against building each
     missed fault to read its name.  The two name lists are compared
-    before a number is kept.  Best of a few runs each.
+    before a number is kept.  Then, with the request served, a request
+    that only reseeds its universe (a new seed each run, so each run
+    misses the resolve memo): its resolution, request gate and
+    reference pass, whose stream must be the first request's object.
+    Best of a few runs each.
     """
     rows = []
     for name, selector in GLUE_TESTS:
@@ -867,10 +890,19 @@ def bench_glue(n: int, m: int) -> list[dict]:
         if names != built:
             raise AssertionError(
                 f"{name} n={n} m={m}: row names diverged from built names")
+        served = _serve_reseeded(request, 0).compile()
+        seeds = itertools.count(1)
+        reseed_s, reseeded = _best_of(
+            GLUE_REPEATS, lambda: _serve_reseeded(request, next(seeds)))
+        if reseeded.compile() is not served:
+            raise AssertionError(
+                f"{name} n={n} m={m}: a reseeded request compiled its "
+                f"own stream")
         print(f"      glue {name:>13} n={n:<4} m={m} records="
               f"{len(stream.ops):<6} compile {compile_s * 1e3:>6.2f}ms  "
               f"verify {verify_s * 1e3:>6.2f}ms  name {len(missed)} misses "
-              f"{naming_s * 1e3:>6.2f}ms (built {built_naming_s * 1e3:.2f}ms)")
+              f"{naming_s * 1e3:>6.2f}ms (built {built_naming_s * 1e3:.2f}ms)"
+              f"  reseed {reseed_s * 1e3:.3f}ms")
         rows.append({
             "test": name,
             "n": n,
@@ -882,6 +914,7 @@ def bench_glue(n: int, m: int) -> list[dict]:
             "verify_s": round(verify_s, 5),
             "naming_s": round(naming_s, 5),
             "built_naming_s": round(built_naming_s, 5),
+            "reseed_s": round(reseed_s, 6),
         })
     return rows
 

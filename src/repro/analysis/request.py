@@ -378,46 +378,46 @@ def _validate_spec(spec: UniverseSpec, n: int, m: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def _resolve(request: CampaignRequest) -> ResolvedCampaign:
-    if not isinstance(request.test, str) or request.test not in _TESTS:
-        raise RequestError(
-            f"unknown test {request.test!r} "
-            f"(known: {sorted(_TESTS)})"
-        )
-    if request.engine not in ENGINES:
-        raise RequestError(
-            f"engine must be one of {ENGINES}, got {request.engine!r}"
-        )
-    kind, display = _TESTS[request.test]
+def _bind_test(test: str, n: int, m: int, poly: str | None,
+               pure: bool) -> dict:
+    """The universe-independent half of resolution: the
+    :class:`ResolvedCampaign` fields that depend only on the test and
+    its memory (runner, labels, ports, operation count).
+
+    Memoized on its arguments, so requests that differ only in
+    ``universe``, ``engine`` or ``workers`` share one runner and,
+    through the ``cached_*`` compiler adapters, one compiled stream:
+    its static verification, reference pass and digest run once per
+    geometry.  A binding that fails raises and leaves no memo entry.
+    """
+    kind, display = _TESTS[test]
     try:
-        field = build_field(request.m, request.poly)
+        field = build_field(m, poly)
     except (ValueError, KeyError) as exc:
         raise RequestError(f"bad field polynomial "
-                           f"{request.poly!r}: {exc}") from exc
-    n, m = request.n, request.m
+                           f"{poly!r}: {exc}") from exc
     if kind != "march" and field is not None and field.m != m:
         raise RequestError(
-            f"field polynomial {request.poly!r} has degree {field.m}, "
+            f"field polynomial {poly!r} has degree {field.m}, "
             f"but m={m}: the poly must define GF(2^m)"
         )
-    test_name = request.test
+    test_name = test
     if kind == "march":
-        test = _MARCH_TESTS[request.test]
-        runner = march_runner(test)
-        operations = march_operations(test, n, m=m)
+        march = _MARCH_TESTS[test]
+        runner = march_runner(march)
+        operations = march_operations(march, n, m=m)
     elif kind == "schedule":
-        builder = standard_schedule if request.test == "prt3" \
-            else extended_schedule
-        schedule = builder(field=field, n=n, verify=not request.pure)
+        builder = standard_schedule if test == "prt3" else extended_schedule
+        schedule = builder(field=field, n=n, verify=not pure)
         runner = schedule_runner(schedule)
         operations = schedule.operation_count(n)
     else:
         generator = (1, 1, 1) if field is None or field.m == 1 else (1, 2, 2)
-        quad = request.test.startswith("quad")
+        quad = test.startswith("quad")
         if kind == "multi-schedule":
             schedule = standard_multi_schedule(
                 ports=4 if quad else 2, field=field, generator=generator,
-                verify=not request.pure,
+                verify=not pure,
             )
             runner = multi_schedule_runner(schedule)
         elif quad:
@@ -433,19 +433,37 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
     # π-test needs more cells than its automaton window): reject a
     # smaller n here, before anything compiles.
     floor = runner.min_cells
-    if request.test.startswith("quad") and (n % 2 != 0 or n < floor):
+    if test.startswith("quad") and (n % 2 != 0 or n < floor):
         raise RequestError(
-            f"test {request.test!r} needs an even n >= {floor} "
+            f"test {test!r} needs an even n >= {floor} "
             f"(two concurrent half-array automata), got {n}"
         )
     if n < floor:
         raise RequestError(
-            f"test {request.test!r} needs n >= {floor} (more cells than "
+            f"test {test!r} needs n >= {floor} (more cells than "
             f"its automaton window), got n={n}"
         )
     if kind in ("port", "multi-schedule"):
         # Counted off the compiled stream, now that n is known good.
         operations = runner.compile(n, m).operation_count
+    return {"runner": runner, "test_name": test_name,
+            "display_name": display, "ports": _ports_for(test),
+            "operations": operations}
+
+
+@lru_cache(maxsize=256)
+def _resolve(request: CampaignRequest) -> ResolvedCampaign:
+    if not isinstance(request.test, str) or request.test not in _TESTS:
+        raise RequestError(
+            f"unknown test {request.test!r} "
+            f"(known: {sorted(_TESTS)})"
+        )
+    if request.engine not in ENGINES:
+        raise RequestError(
+            f"engine must be one of {ENGINES}, got {request.engine!r}"
+        )
+    n, m = request.n, request.m
+    binding = _bind_test(request.test, n, m, request.poly, request.pure)
     if request.universe is None:
         # The recipe only: enumerating the faults is the cold path's job
         # (a cache hit never pays it).  Building is also where the
@@ -466,11 +484,7 @@ def _resolve(request: CampaignRequest) -> ResolvedCampaign:
             )
         _validate_spec(request.universe, n, m)
         spec = request.universe
-    return ResolvedCampaign(
-        request=request, runner=runner, universe_spec=spec,
-        test_name=test_name, display_name=display,
-        ports=_ports_for(request.test), operations=operations,
-    )
+    return ResolvedCampaign(request=request, universe_spec=spec, **binding)
 
 
 def resolve_campaign(request: CampaignRequest) -> ResolvedCampaign:
@@ -479,8 +493,11 @@ def resolve_campaign(request: CampaignRequest) -> ResolvedCampaign:
     This is the single shared resolver behind ``run_coverage(request)``,
     ``compare_tests([request, ...])``, the CLI and the server.  Raises
     :class:`RequestError` on any invalid field.  Resolution is memoized
-    on the (hashable) request, so repeated requests reuse the same
-    runner -- and therefore the same memoized compiled stream.
+    twice: on the (hashable) request, so a repeated request returns the
+    same :class:`ResolvedCampaign`, and on ``(test, n, m, poly, pure)``,
+    so every request for one test on one memory -- whatever its
+    universe, engine or workers -- gets the same runner and therefore
+    the same memoized compiled stream.
 
     >>> resolved = resolve_campaign(CampaignRequest(test="prt3", n=14))
     >>> resolved.display_name, resolved.ports

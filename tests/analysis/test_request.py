@@ -9,6 +9,8 @@ forms -- same reports, same comparison rows -- over the full
 be described as a shim with a straight face.
 """
 
+import hashlib
+import importlib
 import pickle
 
 import pytest
@@ -28,16 +30,28 @@ from repro.analysis import (
 from repro.analysis.complexity import march_operations
 from repro.analysis.request import (
     _TESTS,
+    CACHE_KEY_VERSION,
     MAX_CELLS,
     MAX_WORD_BITS,
     MAX_WORKERS,
+    build_field,
     run_request,
 )
 from repro.faults import standard_universe
-from repro.faults.universe import UniverseSpec
+from repro.faults.universe import UniverseSpec, standard_universe_spec
 from repro.march.library import MARCH_C_MINUS, MATS_PLUS
-from repro.prt import extended_schedule, standard_schedule
+from repro.prt import (
+    QuadPortPiIteration,
+    extended_schedule,
+    standard_multi_schedule,
+    standard_schedule,
+)
 from repro.server.cache import ResultCache
+from repro.sim.compilers import (
+    compile_multi_schedule,
+    compile_quad_port_pi,
+    compile_schedule,
+)
 from tests.sim.conftest import assert_reports_identical
 
 
@@ -462,3 +476,141 @@ class TestColdPathBuildsOnlyMisses:
             assert report.missed_faults  # the bound below is not vacuous
             assert len(built) <= len(report.missed_faults)
 
+
+
+@pytest.fixture()
+def cold_memos():
+    """Empty the resolution and March stream memos, so the streams a
+    test compiles are new and no check has run on them yet."""
+    import repro.analysis.request as request_module
+    from repro.sim import compilers
+
+    for memo in (request_module._resolve, request_module._bind_test,
+                 compilers._cached_march):
+        memo.cache_clear()
+    return request_module
+
+
+def _reseeded(request, seed):
+    return request.replace(
+        universe=standard_universe_spec(request.n, request.m, seed=seed))
+
+
+class TestTestBinding:
+    """Resolution binds each test once per geometry: requests that
+    differ only in universe, engine or workers share one runner and one
+    compiled stream, whose checks then run once."""
+
+    @pytest.mark.parametrize("test", sorted(_TESTS))
+    def test_reseeded_requests_share_one_checked_stream(
+            self, cold_memos, monkeypatch, test):
+        import repro.sim.batched as batched_module
+        import repro.sim.campaign as campaign_module
+
+        # The package re-exports verify(), shadowing the module name.
+        verify_module = importlib.import_module("repro.sim.verify")
+        verified, referenced = [], []
+        verify, reference_pass = verify_module.verify, \
+            campaign_module._reference_pass
+
+        def count_verify(stream, **kwargs):
+            verified.append(stream)
+            return verify(stream, **kwargs)
+
+        def count_reference(stream, n, m):
+            if not stream.reference_verified:
+                referenced.append(stream)
+            reference_pass(stream, n, m)
+
+        monkeypatch.setattr(verify_module, "verify", count_verify)
+        for module in (campaign_module, batched_module):
+            monkeypatch.setattr(module, "_reference_pass", count_reference)
+        first = CampaignRequest(test=test, n=12)
+        variants = [_reseeded(first, 5), first.replace(engine="batched"),
+                    first.replace(workers=2),
+                    _reseeded(first, 6).replace(engine="compiled")]
+        stream = resolve_campaign(first).compile()
+        for request in variants:
+            assert resolve_campaign(request).compile() is stream
+        for request in (first, variants[0]):
+            run_request(request, cache=False)
+        assert verified == [stream]
+        assert referenced == [stream]
+
+    @pytest.mark.parametrize("test", sorted(_TESTS))
+    def test_other_geometries_get_other_streams(self, test):
+        base = CampaignRequest(test=test, n=16, m=4)
+        stream = resolve_campaign(base).compile()
+        for changes in ({"n": 20}, {"m": 2}):
+            other = resolve_campaign(base.replace(**changes)).compile()
+            assert other is not stream
+        for changes in ({"poly": "1+z^3+z^4"}, {"pure": True}):
+            other = resolve_campaign(base.replace(**changes)).compile()
+            if _TESTS[test][0] == "march":  # March tests ignore both
+                assert other is stream
+            else:
+                assert other is not stream
+
+    @pytest.mark.parametrize("request_", [
+        CampaignRequest(test="prt3", n=3),
+        CampaignRequest(test="quad-port", n=13),
+        CampaignRequest(test="prt3", n=16, m=4, poly="1+z+z^3"),
+        CampaignRequest(test="dual-schedule", n=16, m=4, poly="1+z^"),
+    ], ids=["floor", "odd-quad", "poly-degree", "poly-syntax"])
+    def test_failed_binding_raises_every_time_and_is_not_memoized(
+            self, cold_memos, request_):
+        memos = (cold_memos._resolve, cold_memos._bind_test)
+        for reseed in (0, 1, 2):
+            with pytest.raises(RequestError):
+                resolve_campaign(_reseeded(request_, reseed))
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+
+    def test_both_memos_are_bounded(self, cold_memos):
+        for memo in (cold_memos._resolve, cold_memos._bind_test):
+            assert memo.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("test", ["prt3", "dual-schedule", "quad-port"])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_shared_stream_keeps_the_fresh_cache_key(self, test, m):
+        """A reseeded request's key is the one a freshly constructed
+        schedule or iteration gives, so entries written before the
+        binding memo existed still hit."""
+        field = build_field(m, None)
+        generator = (1, 1, 1) if m == 1 else (1, 2, 2)
+        n = 16
+        if test == "prt3":
+            fresh = compile_schedule(
+                standard_schedule(field=field, n=n, verify=True), n, m)
+        elif test == "dual-schedule":
+            fresh = compile_multi_schedule(standard_multi_schedule(
+                ports=2, field=field, generator=generator, verify=True),
+                n, m)
+        else:
+            fresh = compile_quad_port_pi(QuadPortPiIteration(
+                field=field, generator=generator, seed=(0, 1)), n, m)
+        first = resolve_campaign(CampaignRequest(test=test, n=n, m=m))
+        assert len(first.cache_key) == 64  # the geometry is served first
+        reseeded = _reseeded(first.request, 9)
+        assert resolve_campaign(reseeded).compile() is first.compile()
+        text = "\x00".join((
+            "cache-key-v2", fresh.digest(),
+            repr(standard_universe_spec(n, m, seed=9)), str(m), str(n),
+            str(first.ports)))
+        assert CACHE_KEY_VERSION == 2
+        assert reseeded.cache_key() == \
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("test", ["prt3", "dual-schedule", "quad-port"])
+    def test_engines_agree_on_a_reseeded_pair_run_twice(self, test):
+        """No run mutates the shared schedule or iteration: every
+        engine, run twice over a reseeded pair, gives the same reports."""
+        pair = [CampaignRequest(test=test, n=12, m=4),
+                _reseeded(CampaignRequest(test=test, n=12, m=4), 3)]
+        reports = {index: [] for index in range(len(pair))}
+        for _ in range(2):
+            for engine in ("interpreted", "compiled", "batched"):
+                for index, request in enumerate(pair):
+                    reports[index].append(run_request(
+                        request.replace(engine=engine), cache=False))
+        for runs in reports.values():
+            assert_reports_identical(*runs)

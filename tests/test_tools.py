@@ -573,6 +573,42 @@ class TestLintContracts:
             + "def build_universe(spec):\n    return spec.build()\n"))
         assert self._resolve_findings(root) == []
 
+    @pytest.mark.parametrize("call", [
+        "resolved.build_universe()",
+        "coupling_universe(n)",
+    ])
+    def test_flags_universe_enumeration_in_functions_resolve_calls(
+            self, tmp_path, call):
+        # The test binding runs on every resolve-memo miss, so the rule
+        # follows _resolve into it (and into what it calls in turn).
+        root = self._tree(tmp_path, request=(
+            "def _resolve(request):\n"
+            "    return _bind_test(request.n)\n"
+            "def _bind_test(n):\n"
+            "    return _floor(n)\n"
+            "def _floor(n):\n"
+            f"    return {call}\n"))
+        findings = self._resolve_findings(root)
+        assert len(findings) == 1
+        assert "request.py:6:" in findings[0]
+        assert "_floor calls" in findings[0]
+
+    def test_real_test_binding_is_scanned(self, tmp_path):
+        # Planted in the repository's own binding helper, a universe
+        # build is reported: the rule reaches the helper from _resolve.
+        path = os.path.join(os.path.dirname(__file__), "..", "src",
+                            "repro", "analysis", "request.py")
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        head = "    kind, display = _TESTS[test]\n"
+        assert source.count(head) == 1
+        planted = source.replace(
+            head, head + "    standard_universe(n, m)\n")
+        root = self._tree(tmp_path, request=planted)
+        findings = self._resolve_findings(root)
+        assert len(findings) == 1
+        assert "_bind_test calls standard_universe()" in findings[0]
+
     @pytest.mark.parametrize("code", [
         "import pickle\nobj = pickle.loads(blob)\n",
         "import pickle as p\nobj = p.load(handle)\n",

@@ -37,9 +37,11 @@ that no single module's tests can enforce:
 
 5. **spec-only-resolve** -- ``_resolve`` in
    ``repro/analysis/request.py`` binds a request to a universe *recipe*
-   and never enumerates faults: it may not call ``.build()``,
+   and never enumerates faults: neither it nor any function of that
+   module it calls, directly or through another (the test binding
+   ``_bind_test`` among them), may call ``.build()``,
    ``build_universe`` or any ``*_universe`` generator.  Resolution runs
-   on every request, cache hits included, and enumerating the default
+   on every request that misses its memo, and enumerating the default
    universe there costs more than the rest of resolution together.
 
 6. **no-untrusted-unpickle** -- unpickling runs arbitrary code, so
@@ -314,26 +316,33 @@ def _call_name(call: ast.Call) -> str | None:
 
 
 def check_spec_only_resolve(path: str, root: str) -> list[str]:
-    """``_resolve`` builds no universe: no ``.build()``,
-    ``build_universe`` or ``*_universe`` generator call."""
+    """``_resolve`` and every module function it reaches build no
+    universe: no ``.build()``, ``build_universe`` or ``*_universe``
+    generator call."""
     rel = _relative(path, root)
-    resolve = next((node for node in _parse(path).body
-                    if isinstance(node, ast.FunctionDef)
-                    and node.name == "_resolve"), None)
-    if resolve is None:
+    functions = {node.name: node for node in _parse(path).body
+                 if isinstance(node, ast.FunctionDef)}
+    if "_resolve" not in functions:
         return [f"{rel}:1: [spec-only-resolve] could not locate _resolve"]
     findings = []
-    for node in ast.walk(resolve):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        if name is not None and (name == "build"
-                                 or name.endswith("_universe")):
-            findings.append(
-                f"{rel}:{node.lineno}: [spec-only-resolve] _resolve calls "
-                f"{name}() -- resolution takes the universe spec and "
-                f"must not enumerate faults"
-            )
+    todo, seen = ["_resolve"], {"_resolve"}
+    while todo:
+        caller = todo.pop(0)
+        for node in ast.walk(functions[caller]):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node)
+            if name is not None and (name == "build"
+                                     or name.endswith("_universe")):
+                findings.append(
+                    f"{rel}:{node.lineno}: [spec-only-resolve] {caller} "
+                    f"calls {name}() -- resolution takes the universe "
+                    f"spec and must not enumerate faults"
+                )
+            if (isinstance(node.func, ast.Name) and name in functions
+                    and name not in seen):
+                seen.add(name)
+                todo.append(name)
     return findings
 
 
