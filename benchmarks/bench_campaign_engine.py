@@ -108,7 +108,12 @@ name as the reference (the two name lists must be equal).  Its
 ``reseed_s`` column times resolution, the request gate and the
 reference pass of a request that only reseeds the universe of a
 geometry already served; that request's stream must be the first
-request's object.  The section has no gate of its own; ``tools/check_bench.py`` diffs its timings
+request's object.  Its ``report_s`` column times the campaign's report
+built per generator part (``repro.faults.universe.tally``), and
+``per_fault_report_s`` the per-fault path it replaced (class tags, two
+``Counter`` and ``name_of`` per miss); both must give equal dicts, key
+order and names.  The section has no gate of its own;
+``tools/check_bench.py`` diffs its timings, one by one and summed,
 against the baseline.
 
 An eleventh section (``lane_rows``) times the lane kernels of the same
@@ -117,7 +122,8 @@ schedule at n=512/m=1 and n=176/m=8, the wall clock of each lane
 class's passes (``pass_s``) and the records they execute.  The lane
 verdicts of a small evenly spaced sample of faults must equal the
 scalar ``run_campaign``'s before a number is emitted.  No gate of its
-own either; the timings are diffed against the baseline.
+own either; the timings are diffed, one by one and summed, against the
+baseline.
 
 Reports are cross-checked for equality on every path before a number is
 emitted.  Run as a script::
@@ -143,6 +149,7 @@ import os
 import pickle
 import sys
 import time
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -173,7 +180,7 @@ from repro.faults import (  # noqa: E402
     standard_universe,
     standard_universe_spec,
 )
-from repro.faults.universe import LanePlan  # noqa: E402
+from repro.faults.universe import LanePlan, tally  # noqa: E402
 from repro.gf2 import primitive_polynomial  # noqa: E402
 from repro.gf2m import GF2m  # noqa: E402
 from repro.march.library import MARCH_C_MINUS  # noqa: E402
@@ -849,6 +856,22 @@ def _serve_reseeded(request: CampaignRequest, seed: int):
     return resolved
 
 
+def _report_per_fault(universe, verdicts):
+    """A report's ``(total, detected, missed names)`` fault by fault: the
+    class tag of every fault counted, then every miss named by index."""
+    tags = universe.class_tags()
+    total = dict(Counter(tags))
+    detected = dict(Counter(itertools.compress(tags, verdicts)))
+    return total, detected, [universe.name_of(index)
+                             for index, hit in enumerate(verdicts) if not hit]
+
+
+def _ordered(report) -> tuple[list, list, list]:
+    """A report's dicts as item lists, so equality checks key order."""
+    total, detected, names = report
+    return list(total.items()), list(detected.items()), names
+
+
 def bench_glue(n: int, m: int) -> list[dict]:
     """The per-request glue around the lane kernels of a cold request.
 
@@ -861,7 +884,11 @@ def bench_glue(n: int, m: int) -> list[dict]:
     that only reseeds its universe (a new seed each run, so each run
     misses the resolve memo): its resolution, request gate and
     reference pass, whose stream must be the first request's object.
-    Best of a few runs each.
+    Last, the report of the campaign: :func:`tally` per generator part
+    (``report_s``) against the per-fault path it replaced, class tags,
+    two ``Counter`` and ``name_of`` per miss (``per_fault_report_s``);
+    their dicts, key order and names must be equal.  Best of a few runs
+    each.
     """
     rows = []
     for name, selector in GLUE_TESTS:
@@ -890,6 +917,15 @@ def bench_glue(n: int, m: int) -> list[dict]:
         if names != built:
             raise AssertionError(
                 f"{name} n={n} m={m}: row names diverged from built names")
+        report_s, report = _best_of(
+            GLUE_REPEATS, lambda: tally(universe, campaign.verdicts))
+        per_fault_report_s, per_fault = _best_of(
+            GLUE_REPEATS,
+            lambda: _report_per_fault(universe, campaign.verdicts))
+        if _ordered(report) != _ordered(per_fault):
+            raise AssertionError(
+                f"{name} n={n} m={m}: the tally diverged from the "
+                f"per-fault report")
         served = _serve_reseeded(request, 0).compile()
         seeds = itertools.count(1)
         reseed_s, reseeded = _best_of(
@@ -902,7 +938,9 @@ def bench_glue(n: int, m: int) -> list[dict]:
               f"{len(stream.ops):<6} compile {compile_s * 1e3:>6.2f}ms  "
               f"verify {verify_s * 1e3:>6.2f}ms  name {len(missed)} misses "
               f"{naming_s * 1e3:>6.2f}ms (built {built_naming_s * 1e3:.2f}ms)"
-              f"  reseed {reseed_s * 1e3:.3f}ms")
+              f"  reseed {reseed_s * 1e3:.3f}ms  report "
+              f"{report_s * 1e3:.3f}ms (per fault "
+              f"{per_fault_report_s * 1e3:.3f}ms)")
         rows.append({
             "test": name,
             "n": n,
@@ -915,6 +953,8 @@ def bench_glue(n: int, m: int) -> list[dict]:
             "naming_s": round(naming_s, 5),
             "built_naming_s": round(built_naming_s, 5),
             "reseed_s": round(reseed_s, 6),
+            "report_s": round(report_s, 6),
+            "per_fault_report_s": round(per_fault_report_s, 6),
         })
     return rows
 

@@ -20,13 +20,12 @@ still work -- they just take the interpreted per-fault loop.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import compress
 
 from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
+from repro.faults.universe import tally
 from repro.march.engine import run_march_interpreted
 from repro.march.model import MarchTest
 from repro.memory.multiport import MultiPortRAM, PortConflictError
@@ -250,20 +249,12 @@ def run_coverage(runner: Runner, universe: Iterable[Fault] | None = None,
             else run_campaign_batched
         campaign = engine_fn(stream, universe, workers=workers, pool=pool,
                              progress=progress)
-        # report.record in bulk: classes tally from the per-index tags
-        # and missed faults are named by index.  A spec'd universe reads
-        # both from its descriptor table (FaultUniverse.name_of), so a
-        # cold campaign builds no Fault to name what it missed.
-        tags = campaign.class_tags()
-        verdicts = campaign.verdicts
-        report.total = dict(Counter(tags))
-        report.detected = dict(Counter(compress(tags, verdicts)))
-        faults = campaign.faults
-        name_of = getattr(faults, "name_of", None) \
-            or (lambda index: faults[index].name)
-        report.missed_faults = [name_of(index)
-                                for index, detected in enumerate(verdicts)
-                                if not detected]
+        # report.record in bulk: a spec'd universe is tallied per
+        # generator part of its descriptor table (class counts per record
+        # slot, misses named per site), so a cold campaign builds no
+        # Fault and runs no per-fault Python to report.
+        report.total, report.detected, report.missed_faults = tally(
+            campaign.faults, campaign.verdicts)
         return report
     ports = getattr(runner, "ports", 1)
     faults = list(universe)

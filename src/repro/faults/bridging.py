@@ -40,15 +40,9 @@ class BridgingFault(Fault):
         self._a, self._b = sorted((cell_a, cell_b))
         self._kind = kind
 
-    @staticmethod
-    def format_name(kind: str, cell_a: int, cell_b: int) -> str:
-        """The :attr:`name` of a ``kind`` bridge between the cells
-        ``cell_a < cell_b``."""
-        return f"BF-{kind}({cell_a}, {cell_b})"
-
     @property
     def name(self) -> str:
-        return self.format_name(self._kind, self._a, self._b)
+        return f"BF-{self._kind}({self._a}, {self._b})"
 
     def __repr__(self) -> str:
         return self.name

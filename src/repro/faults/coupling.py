@@ -60,6 +60,11 @@ class _TwoCellFault(Fault):
         (the paper's intra-word fault class, claim C7)."""
         return self._aggressor.cell == self._victim.cell
 
+    def _bits(self) -> str:
+        """The name suffix naming the two coupled bits."""
+        a, v = self._aggressor, self._victim
+        return f"(aggr=({a.cell},{a.bit}), victim=({v.cell},{v.bit}))"
+
     def _aggressor_transition(self, cell: int, old: int,
                               committed: int) -> tuple[int, int] | None:
         """(old_bit, new_bit) of the aggressor if this write moved it."""
@@ -90,19 +95,10 @@ class InversionCouplingFault(_TwoCellFault):
         super().__init__(aggressor, victim)
         self._rising = bool(rising)
 
-    @staticmethod
-    def format_name(a_cell: int, a_bit: int, v_cell: int, v_bit: int,
-                    rising: bool) -> str:
-        """The :attr:`name` of a CFin from bit ``(a_cell, a_bit)`` to
-        bit ``(v_cell, v_bit)``."""
-        direction = "up" if rising else "down"
-        return (f"CFin-{direction}(aggr=({a_cell},{a_bit}), "
-                f"victim=({v_cell},{v_bit}))")
-
     @property
     def name(self) -> str:
-        a, v = self._aggressor, self._victim
-        return self.format_name(a.cell, a.bit, v.cell, v.bit, self._rising)
+        direction = "up" if self._rising else "down"
+        return f"CFin-{direction}{self._bits()}"
 
     def __repr__(self) -> str:
         return self.name
@@ -142,22 +138,10 @@ class IdempotentCouplingFault(_TwoCellFault):
         self._rising = bool(rising)
         self._force_to = force_to
 
-    @staticmethod
-    def format_name(a_cell: int, a_bit: int, v_cell: int, v_bit: int,
-                    rising: bool, force_to: int) -> str:
-        """The :attr:`name` of a CFid from bit ``(a_cell, a_bit)`` to
-        bit ``(v_cell, v_bit)``."""
-        direction = "up" if rising else "down"
-        return (
-            f"CFid-{direction}->{force_to}"
-            f"(aggr=({a_cell},{a_bit}), victim=({v_cell},{v_bit}))"
-        )
-
     @property
     def name(self) -> str:
-        a, v = self._aggressor, self._victim
-        return self.format_name(a.cell, a.bit, v.cell, v.bit, self._rising,
-                                self._force_to)
+        direction = "up" if self._rising else "down"
+        return f"CFid-{direction}->{self._force_to}{self._bits()}"
 
     def __repr__(self) -> str:
         return self.name
@@ -201,21 +185,10 @@ class StateCouplingFault(_TwoCellFault):
         self._aggressor_state = aggressor_state
         self._force_to = force_to
 
-    @staticmethod
-    def format_name(a_cell: int, a_bit: int, v_cell: int, v_bit: int,
-                    aggressor_state: int, force_to: int) -> str:
-        """The :attr:`name` of a CFst from bit ``(a_cell, a_bit)`` to
-        bit ``(v_cell, v_bit)``."""
-        return (
-            f"CFst<{aggressor_state}->{force_to}>"
-            f"(aggr=({a_cell},{a_bit}), victim=({v_cell},{v_bit}))"
-        )
-
     @property
     def name(self) -> str:
-        a, v = self._aggressor, self._victim
-        return self.format_name(a.cell, a.bit, v.cell, v.bit,
-                                self._aggressor_state, self._force_to)
+        return (f"CFst<{self._aggressor_state}->{self._force_to}>"
+                f"{self._bits()}")
 
     def __repr__(self) -> str:
         return self.name

@@ -52,19 +52,10 @@ class StaticNPSF(Fault):
         self._pattern = pattern
         self._force_to = force_to
 
-    @staticmethod
-    def format_name(victim: int, neighbors: tuple[int, ...],
-                    pattern: tuple[int, ...], force_to: int) -> str:
-        """The :attr:`name` of an NPSF with these (tuple) fields."""
-        return (
-            f"NPSF(victim={victim}, "
-            f"nbhd={neighbors}={pattern} -> {force_to})"
-        )
-
     @property
     def name(self) -> str:
-        return self.format_name(self._victim, self._neighbors,
-                                self._pattern, self._force_to)
+        return (f"NPSF(victim={self._victim}, "
+                f"nbhd={self._neighbors}={self._pattern} -> {self._force_to})")
 
     def __repr__(self) -> str:
         return self.name

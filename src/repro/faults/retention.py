@@ -41,14 +41,9 @@ class DataRetentionFault(Fault):
         self._decay_to = decay_to
         self._last_access: int | None = None
 
-    @staticmethod
-    def format_name(cell: int, retention: int) -> str:
-        """The :attr:`name` of a retention fault on ``cell``."""
-        return f"DRF(cell={cell}, retention={retention})"
-
     @property
     def name(self) -> str:
-        return self.format_name(self._cell, self._retention)
+        return f"DRF(cell={self._cell}, retention={self._retention})"
 
     def __repr__(self) -> str:
         return self.name

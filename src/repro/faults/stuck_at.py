@@ -38,14 +38,9 @@ class StuckAtFault(Fault):
         self._bit = bit
         self._value = value
 
-    @staticmethod
-    def format_name(cell: int, value: int, bit: int) -> str:
-        """The :attr:`name` of ``StuckAtFault(cell, value, bit=bit)``."""
-        return f"SA{value}(cell={cell}, bit={bit})"
-
     @property
     def name(self) -> str:
-        return self.format_name(self._cell, self._value, self._bit)
+        return f"SA{self._value}(cell={self._cell}, bit={self._bit})"
 
     def __repr__(self) -> str:
         return self.name

@@ -38,14 +38,9 @@ class StuckOpenFault(Fault):
         self._initial_sense = initial_sense
         self._sense = initial_sense
 
-    @staticmethod
-    def format_name(cell: int) -> str:
-        """The :attr:`name` of a stuck-open fault on ``cell``."""
-        return f"SOF(cell={cell})"
-
     @property
     def name(self) -> str:
-        return self.format_name(self._cell)
+        return f"SOF(cell={self._cell})"
 
     def __repr__(self) -> str:
         return self.name

@@ -41,15 +41,10 @@ class TransitionFault(Fault):
         self._bit = bit
         self._rising = bool(rising)
 
-    @staticmethod
-    def format_name(cell: int, rising: bool, bit: int) -> str:
-        """The :attr:`name` of ``TransitionFault(cell, rising, bit=bit)``."""
-        direction = "up" if rising else "down"
-        return f"TF-{direction}(cell={cell}, bit={bit})"
-
     @property
     def name(self) -> str:
-        return self.format_name(self._cell, self._rising, self._bit)
+        direction = "up" if self._rising else "down"
+        return f"TF-{direction}(cell={self._cell}, bit={self._bit})"
 
     def __repr__(self) -> str:
         return self.name

@@ -32,10 +32,11 @@ naming the constructor that rebuilds the
 :class:`~repro.faults.base.Fault` from it (:func:`fault_from_descriptor`).
 :meth:`UniverseSpec.build` maps every row to a fault up front;
 :meth:`FaultUniverse.from_spec` makes a row, and builds a fault, only
-when one is asked for, so a cold campaign names just the faults it
-missed.  The batched engine needs no row at all:
-:meth:`DescriptorTable.lane_plan` gives its lane models their inputs as
-whole columns, built per address and per coupled pair from the records.
+when one is asked for.  A cold campaign needs no row at all:
+:meth:`DescriptorTable.lane_plan` gives the batched engine's lane models
+their inputs as whole columns, built per address and per coupled pair
+from the records, and :func:`tally` counts the verdicts per record slot
+and names the misses per site.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import or_
+from itertools import chain, compress, repeat
+from operator import itemgetter, not_, or_
 from typing import NamedTuple
 
 from repro.faults.base import BitLocation, Fault, VectorSemantics
@@ -77,6 +78,7 @@ __all__ = [
     "descriptor_table",
     "fault_from_descriptor",
     "materialize_spec",
+    "tally",
     "single_cell_universe",
     "coupling_universe",
     "decoder_universe",
@@ -182,9 +184,9 @@ class DescriptorTable:
     per run of rows a :meth:`take` picked).  A generator part computes
     any row from its index, so :meth:`row` makes one row and
     :attr:`rows` (every row, kept once made) is only for callers that
-    ask.  :meth:`class_tags` comes from the parts' records, and
-    :meth:`lane_plan` gives the batched engine its lane model inputs as
-    whole columns, both without a row.
+    ask.  :meth:`class_tags`, :meth:`name` and :func:`tally` come from
+    the parts' records, and :meth:`lane_plan` gives the batched engine
+    its lane model inputs as whole columns, all without a row.
 
     ``spans`` holds ``(start, stop, n, m)`` runs: rows ``[start, stop)``
     come from a part recorded for an ``n x m`` memory, so every one of
@@ -220,15 +222,25 @@ class DescriptorTable:
         return tuple((start, start + part.size, part.n, part.m)
                      for start, part in zip(self._starts, self.parts))
 
-    def row(self, index: int) -> tuple[str, VectorSemantics]:
-        """The ``(maker, semantics)`` row at ``index``, made from the
-        index alone."""
+    def _locate(self, index: int):
+        """``(part, index within the part)`` of a universe index."""
         if index < 0:
             index += self._size
         if not 0 <= index < self._size:
             raise IndexError(f"descriptor index {index} out of range")
         slot = bisect_right(self._starts, index) - 1
-        return self.parts[slot].row(index - self._starts[slot])
+        return self.parts[slot], index - self._starts[slot]
+
+    def row(self, index: int) -> tuple[str, VectorSemantics]:
+        """The ``(maker, semantics)`` row at ``index``, made from the
+        index alone."""
+        part, local = self._locate(index)
+        return part.row(local)
+
+    def name(self, index: int) -> str:
+        """The name of the fault at ``index``, formatted by its part."""
+        part, local = self._locate(index)
+        return part.name(local)
 
     @property
     def rows(self) -> list[tuple[str, VectorSemantics]]:
@@ -247,17 +259,20 @@ class DescriptorTable:
         return tags
 
     def take(self, indices) -> "DescriptorTable":
-        """The rows at ``indices``, in that order, with their spans."""
+        """The rows at ``indices``, in that order, with their spans.  Each
+        picked row stays a ``(generator part, index)`` reference, made
+        only when asked for."""
         runs: list[tuple[list, int, int]] = []
         for index in indices:
-            slot = bisect_right(self._starts, index) - 1
-            part = self.parts[slot]
-            row = part.row(index - self._starts[slot])
+            part, local = self._locate(index)
+            if isinstance(part, _RowsPart):  # a sample of a sample
+                part, local = part.picks[local]
             if runs and runs[-1][1:] == (part.n, part.m):
-                runs[-1][0].append(row)
+                runs[-1][0].append((part, local))
             else:
-                runs.append(([row], part.n, part.m))
-        return DescriptorTable(_RowsPart(rows, n, m) for rows, n, m in runs)
+                runs.append(([(part, local)], part.n, part.m))
+        return DescriptorTable(_RowsPart(picks, n, m)
+                               for picks, n, m in runs)
 
     def lane_plan(self, n: int, m: int = 1) -> "LanePlan | None":
         """The lane plan of every row on an ``n x m`` stream, built from
@@ -293,6 +308,60 @@ def _strided(offsets, record: int, sites: int, base: int) -> list[int]:
 
 def _concat_tables(tables) -> DescriptorTable:
     return DescriptorTable(part for table in tables for part in table.parts)
+
+
+def tally(faults, verdicts) -> tuple[dict[str, int], dict[str, int],
+                                     list[str]]:
+    """``(total, detected, missed names)`` of a campaign whose
+    ``verdicts[i]`` is the ``detected`` flag of ``faults[i]``.
+
+    Equal, key order included, to the ``total``, ``detected`` and
+    ``missed_faults`` that :meth:`CoverageReport.record
+    <repro.analysis.coverage.CoverageReport.record>` makes fault by
+    fault: classes in order of first appearance, detections in order of
+    first detection, misses in universe order.  A universe with a
+    descriptor table is tallied per generator part and builds no fault;
+    a hand-built fault list is tallied fault by fault.
+
+    >>> universe = FaultUniverse.from_spec(UniverseSpec.call(
+    ...     "single_cell", n=2, m=1, classes=("SAF", "SOF"), retention=64))
+    >>> total, detected, missed = tally(universe, [1, 0, 0, 1, 1, 1])
+    >>> total, detected
+    ({'SAF': 4, 'SOF': 2}, {'SAF': 3, 'SOF': 1})
+    >>> missed
+    ['SA1(cell=0, bit=0)', 'SOF(cell=0)']
+    """
+    total: dict[str, int] = {}
+    detected: dict[str, int] = {}
+    missed: list[str] = []
+    table = getattr(faults, "descriptors", None)
+    if table is None:
+        faults = list(faults)
+        _tally_each([fault.fault_class for fault in faults], verdicts,
+                    lambda k: faults[k].name, total, detected, missed)
+    else:
+        for start, part in zip(table._starts, table.parts):
+            part.tally(verdicts, start, total, detected, missed)
+    return total, detected, missed
+
+
+def _format_all(templates, values: tuple) -> list[str]:
+    """One string per ``%``-template of ``templates``, each filled with
+    its share of ``values`` in order, made by a single ``%`` over the
+    newline-joined templates (no name holds a newline)."""
+    return ("\n".join(templates) % values).split("\n")
+
+
+def _tally_each(tags, verdicts, name, total: dict, detected: dict,
+                missed: list) -> None:
+    """Tally ``tags[k]`` with verdict ``verdicts[k]`` fault by fault,
+    naming the ``k``-th fault ``name(k)`` when it was missed."""
+    for k, (tag, hit) in enumerate(zip(tags, verdicts, strict=True)):
+        total[tag] = total.get(tag, 0) + 1
+        if hit:
+            detected[tag] = detected.get(tag, 0) + 1
+        else:
+            missed.append(name(k))
 
 
 def descriptor_table(spec: UniverseSpec) -> DescriptorTable:
@@ -503,11 +572,20 @@ def _merge_entry(entries: list, position: int, entry: tuple,
 class _Part:
     """One generator call: ``sites`` records of ``record`` makers.
 
-    Subclasses give ``_row(site, slot)`` and ``fill(kind, lo, hi, lane,
+    Subclasses give ``_row(site, slot)``, ``fill(kind, lo, hi, lane,
     lanes, columns)``, which ORs members ``[lo, hi)`` of ``kind`` (counted
     within this part) into ``columns`` from lane ``lane`` of a
-    ``lanes``-wide pass on.
+    ``lanes``-wide pass on, and the names of their rows: ``_heads``, one
+    ``%``-template per record slot (``"CFid-up->0%s"``), filled with the
+    site's tail, ``_tail % _tail_args(site)``
+    (``"(aggr=(3,0), victim=(4,0))"``; the site number by default).
     """
+
+    _heads: tuple[str, ...] = ()
+    _tail = "%d"
+
+    def _tail_args(self, site: int) -> tuple:
+        return (site,)
 
     def __init__(self, n: int, m: int, sites: int, record: tuple[str, ...]):
         self.n, self.m = n, m
@@ -549,23 +627,86 @@ class _Part:
     def class_tags(self) -> list[str]:
         return [_CLASS_TAGS[maker] for maker in self.record] * self.sites
 
+    def name(self, local: int) -> str:
+        """The name of the row at part index ``local``."""
+        site, slot = divmod(local, len(self.record))
+        return self._heads[slot] % (self._tail % self._tail_args(site))
+
+    def names(self, local: list[int]) -> list[str]:
+        """The names of the rows at the part indices ``local``, as
+        :meth:`name` makes them: the tails of the sites with a row in
+        ``local`` in one ``%``, then the names in another."""
+        if len(local) < 2:
+            return list(map(self.name, local))
+        sites = list(map(int.__floordiv__, local, repeat(len(self.record))))
+        unique = list(dict.fromkeys(sites))
+        tails = dict(zip(unique, _format_all(
+            repeat(self._tail, len(unique)),
+            tuple(chain.from_iterable(map(self._tail_args, unique))))))
+        return _format_all(itemgetter(*local)(self._heads * self.sites),
+                           itemgetter(*sites)(tails))
+
+    def tally(self, verdicts, start: int, total: dict, detected: dict,
+              missed: list) -> None:
+        """Add this part's verdicts (its row 0 is ``verdicts[start]``)
+        to the running tally of :func:`tally`.  Per record slot: the
+        class count is ``sites``, and the slot's column (a strided
+        slice) gives its detections and, only where some are missing,
+        its misses, named together by :meth:`names`."""
+        if not self.sites:
+            return
+        width, size = len(self.record), self.size
+        hits: dict[str, int] = {}
+        firsts: dict[str, int] = {}  # tag -> its first detected row
+        misses: list[int] = []
+        for slot, maker in enumerate(self.record):
+            tag = _CLASS_TAGS[maker]
+            total[tag] = total.get(tag, 0) + self.sites
+            column = verdicts[start + slot:start + size:width]
+            count = sum(column)
+            if count:
+                hits[tag] = hits.get(tag, 0) + count
+                first = slot + width * column.index(True)
+                if first < firsts.get(tag, size):
+                    firsts[tag] = first
+            if count < self.sites:
+                misses += compress(range(slot, size, width),
+                                   map(not_, column))
+        for tag in sorted(firsts, key=firsts.__getitem__):
+            detected[tag] = detected.get(tag, 0) + hits[tag]
+        if misses:
+            misses.sort()
+            missed += self.names(misses)
+
 
 class _RowsPart:
-    """Explicit rows (a :meth:`DescriptorTable.take` run)."""
+    """Rows picked one by one (a :meth:`DescriptorTable.take` run):
+    ``picks`` holds a ``(generator part, index within it)`` per row."""
 
-    def __init__(self, rows: list, n: int, m: int):
-        self._rows = rows
+    def __init__(self, picks: list, n: int, m: int):
+        self.picks = picks
         self.n, self.m = n, m
-        self.size = len(rows)
+        self.size = len(picks)
 
     def row(self, index: int) -> tuple[str, VectorSemantics]:
-        return self._rows[index]
+        part, local = self.picks[index]
+        return part.row(local)
 
     def rows(self) -> list[tuple[str, VectorSemantics]]:
-        return self._rows
+        return [part.row(local) for part, local in self.picks]
 
     def class_tags(self) -> list[str]:
-        return [_CLASS_TAGS[maker] for maker, _semantics in self._rows]
+        return [_CLASS_TAGS[part.record[local % len(part.record)]]
+                for part, local in self.picks]
+
+    def name(self, index: int) -> str:
+        part, local = self.picks[index]
+        return part.name(local)
+
+    def tally(self, verdicts, start: int, total: dict, detected: dict,
+              missed: list) -> None:
+        _tally_each(self.class_tags(), verdicts[start:start + self.size],
+                    self.name, total, detected, missed)
 
 
 class _SingleCellPart(_Part):
@@ -587,6 +728,12 @@ class _SingleCellPart(_Part):
         self._templates += [(maker, 0, 0) for maker in ("SOF", "DRF")
                             if maker in classes]
         super().__init__(n, m, n, tuple(t[0] for t in self._templates))
+        self._heads = tuple(
+            f"SA{arg}(cell=%s, bit={bit})" if maker == "SAF"
+            else f"TF-{'up' if arg else 'down'}(cell=%s, bit={bit})"
+            if maker == "TF" else "SOF(cell=%s)" if maker == "SOF"
+            else f"DRF(cell=%s, retention={retention})"
+            for maker, bit, arg in self._templates)
 
     def _row(self, cell: int, slot: int) -> tuple[str, VectorSemantics]:
         maker, bit, arg = self._templates[slot]
@@ -664,6 +811,14 @@ class _PairPart(_Part):
         self._templates = [row for row in _PAIR_ROWS if row[0] in classes]
         super().__init__(n, m, len(pairs),
                          tuple(row[0] for row in self._templates))
+        self._heads = tuple(
+            f"CFst<{int(rising)}->{value}>%s" if maker == "CFst"
+            else f"{maker}-{'up' if rising else 'down'}"
+            + ("%s" if value is None else f"->{value}%s")
+            for maker, _kind, value, rising in self._templates)
+        self._tail_args = pairs.__getitem__
+
+    _tail = "(aggr=(%d,%d), victim=(%d,%d))"
 
     def _row(self, site: int, slot: int) -> tuple[str, VectorSemantics]:
         a_cell, a_bit, v_cell, v_bit = self._pairs[site]
@@ -730,6 +885,12 @@ class _BridgingPart(_Part):
             raise ValueError("bridging faults need at least two cells")
         super().__init__(n, 1, n - 1, ("BF", "BF"))
 
+    _heads = ("BF-and(%s)", "BF-or(%s)")
+    _tail = "%d, %d"
+
+    def _tail_args(self, cell: int) -> tuple[int, int]:
+        return cell, cell + 1
+
     def _row(self, cell: int, wired_or: int) -> tuple[str, VectorSemantics]:
         # ``value`` is the wired rule: 0 = wired-AND, 1 = wired-OR.
         return "BF", _new(VectorSemantics, ("bridge", cell, 0, wired_or,
@@ -776,6 +937,15 @@ class _DecoderPart(_Part):
         return self.record[slot], _new(VectorSemantics, (
             "decoder", cell, 0, None, None, None, None, extra))
 
+    def name(self, local: int) -> str:
+        # A row's overrides depend on its slot and its site both.
+        site, slot = divmod(local, 4)
+        return AddressDecoderFault.format_name(
+            self.record[slot], self._overrides(site, slot)[1])
+
+    def names(self, local: list[int]) -> list[str]:
+        return list(map(self.name, local))
+
     def fill(self, kind, lo, hi, lane, lanes, columns):
         for member in range(lo, hi):
             key = self._overrides(*divmod(member, 4))[1]
@@ -794,6 +964,15 @@ class _NpsfPart(_Part):
                                                         max_victims))
         self._victims = victims
         super().__init__(n, 1, len(victims), ("NPSF",) * 8)
+
+    _heads = tuple(f"NPSF(victim=%s=({slot >> 2}, {slot >> 1 & 1}) -> "
+                   f"{slot & 1})" for slot in range(8))
+
+    _tail = "%d, nbhd=(%d, %d)"
+
+    def _tail_args(self, site: int) -> tuple[int, int, int]:
+        victim = self._victims[site]
+        return victim, victim - 1, victim + 1
 
     def _key(self, site: int, slot: int) -> tuple[int, tuple, int]:
         """``(victim, pattern, force_to)``: slot ``4 p0 + 2 p1 + f``."""
@@ -818,54 +997,31 @@ def _coupling_sites(semantics: VectorSemantics) -> tuple[BitLocation,
             BitLocation(semantics.victim_cell, semantics.victim_bit))
 
 
-#: Descriptor maker -> (class tag, constructor from the descriptor,
-#: name from the descriptor).  Each name goes through the fault class's
-#: own ``format_name``, the formatter its ``name`` property calls, so
-#: a missed fault is named without being built.
+#: Descriptor maker -> (class tag, constructor from the descriptor).
 _MAKERS = {
-    "SAF": ("SAF", lambda s: StuckAtFault(s.cell, s.value, bit=s.bit),
-            lambda s: StuckAtFault.format_name(s.cell, s.value, s.bit)),
+    "SAF": ("SAF", lambda s: StuckAtFault(s.cell, s.value, bit=s.bit)),
     "TF": ("TF", lambda s: TransitionFault(s.cell, rising=s.rising,
-                                           bit=s.bit),
-           lambda s: TransitionFault.format_name(s.cell, s.rising, s.bit)),
-    "SOF": ("SOF", lambda s: StuckOpenFault(s.cell, initial_sense=s.value),
-            lambda s: StuckOpenFault.format_name(s.cell)),
+                                           bit=s.bit)),
+    "SOF": ("SOF", lambda s: StuckOpenFault(s.cell, initial_sense=s.value)),
     "DRF": ("DRF", lambda s: DataRetentionFault(
-        s.cell, retention=s.extra[0], decay_to=s.value),
-        lambda s: DataRetentionFault.format_name(s.cell, s.extra[0])),
+        s.cell, retention=s.extra[0], decay_to=s.value)),
     "CFin": ("CFin", lambda s: InversionCouplingFault(
-        *_coupling_sites(s), rising=s.rising),
-        lambda s: InversionCouplingFault.format_name(
-            s.cell, s.bit, s.victim_cell, s.victim_bit, s.rising)),
+        *_coupling_sites(s), rising=s.rising)),
     "CFid": ("CFid", lambda s: IdempotentCouplingFault(
-        *_coupling_sites(s), s.rising, s.value),
-        lambda s: IdempotentCouplingFault.format_name(
-            s.cell, s.bit, s.victim_cell, s.victim_bit, s.rising, s.value)),
+        *_coupling_sites(s), s.rising, s.value)),
     "CFst": ("CFst", lambda s: StateCouplingFault(
-        *_coupling_sites(s), int(s.rising), s.value),
-        lambda s: StateCouplingFault.format_name(
-            s.cell, s.bit, s.victim_cell, s.victim_bit, int(s.rising),
-            s.value)),
+        *_coupling_sites(s), int(s.rising), s.value)),
     "BF": ("BF", lambda s: BridgingFault(s.cell, s.victim_cell,
-                                         kind="or" if s.value else "and"),
-           lambda s: BridgingFault.format_name(
-               "or" if s.value else "and", s.cell, s.victim_cell)),
+                                         kind="or" if s.value else "and")),
     "NPSF": ("NPSF", lambda s: StaticNPSF(
         victim=s.cell, neighbors=tuple(cell for cell, _ in s.extra),
-        pattern=tuple(value for _, value in s.extra), force_to=s.value),
-        lambda s: StaticNPSF.format_name(
-            s.cell, tuple(cell for cell, _ in s.extra),
-            tuple(value for _, value in s.extra), s.value)),
+        pattern=tuple(value for _, value in s.extra), force_to=s.value)),
     # Decoder descriptors are ((address, cells),): AF-B and AF-D rows
     # can coincide, so the maker alone says which fault a row is.
-    "AF-A": ("AF", lambda s: af_no_access(s.cell),
-             lambda s: AddressDecoderFault.format_name("AF-A", s.extra)),
-    "AF-B": ("AF", lambda s: af_unreached_cell(s.cell, s.extra[0][1][0]),
-             lambda s: AddressDecoderFault.format_name("AF-B", s.extra)),
-    "AF-C": ("AF", lambda s: af_multi_access(s.cell, s.extra[0][1][1:]),
-             lambda s: AddressDecoderFault.format_name("AF-C", s.extra)),
-    "AF-D": ("AF", lambda s: af_shared_cell(s.extra[0][1][0], s.cell),
-             lambda s: AddressDecoderFault.format_name("AF-D", s.extra)),
+    "AF-A": ("AF", lambda s: af_no_access(s.cell)),
+    "AF-B": ("AF", lambda s: af_unreached_cell(s.cell, s.extra[0][1][0])),
+    "AF-C": ("AF", lambda s: af_multi_access(s.cell, s.extra[0][1][1:])),
+    "AF-D": ("AF", lambda s: af_shared_cell(s.extra[0][1][0], s.cell)),
 }
 
 
@@ -954,14 +1110,12 @@ class FaultUniverse:
         return fault
 
     def name_of(self, index: int) -> str:
-        """The name of the fault at ``index``: the built fault's when it
-        exists, else formatted from its descriptor row, building
-        nothing."""
-        fault = self._faults[index]
-        if fault is not None:
-            return fault.name
-        maker, semantics = self._table.row(index)
-        return _MAKERS[maker][2](semantics)
+        """The name of the fault at ``index``: formatted by its
+        descriptor table's part when the universe has one (building
+        nothing), else the fault's own."""
+        if self._table is None:
+            return self._faults[index].name
+        return self._table.name(index)
 
     def _all(self) -> list[Fault]:
         if not self._complete:

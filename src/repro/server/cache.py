@@ -33,6 +33,7 @@ False
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import threading
@@ -42,6 +43,8 @@ from collections.abc import Callable
 __all__ = ["ResultCache", "default_cache", "reset_default_cache"]
 
 _KEY_CHARS = set("0123456789abcdef")
+
+_log = logging.getLogger("repro.server")
 
 
 class ResultCache:
@@ -71,6 +74,7 @@ class ResultCache:
         self._misses = 0
         self._evictions = 0
         self._disk_promotions = 0
+        self._disk_errors = 0
 
     # -- internals ----------------------------------------------------------
 
@@ -98,8 +102,11 @@ class ResultCache:
     def get(self, key: str):
         """The cached value for ``key`` (a fresh unpickled copy), or None.
 
-        Checks the memory LRU first, then the disk tier; a disk hit is
-        promoted back into memory.
+        Checks the memory LRU first, then the disk tier; a disk entry is
+        loaded before it is promoted back into memory.  One that fails
+        to load (a truncated or corrupt file) is logged, counted in
+        ``disk_errors`` and served as a miss, so the next
+        :meth:`put` of the key overwrites it.
         """
         key = self._check_key(key)
         with self._lock:
@@ -107,22 +114,32 @@ class ResultCache:
             if blob is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-        if blob is None and self.disk_dir is not None:
+        if blob is not None:
+            return pickle.loads(blob)
+        if self.disk_dir is not None:
             try:
                 with open(self._disk_path(key), "rb") as handle:
                     blob = handle.read()
             except OSError:
                 blob = None
             if blob is not None:
-                with self._lock:
-                    self._remember(key, blob)
-                    self._hits += 1
-                    self._disk_promotions += 1
-        if blob is None:
-            with self._lock:
-                self._misses += 1
-            return None
-        return pickle.loads(blob)
+                try:
+                    value = pickle.loads(blob)
+                except Exception as exc:  # any bytes may be on disk
+                    _log.warning("cache entry %s on disk failed to load "
+                                 "(%s: %s); treating it as a miss", key,
+                                 type(exc).__name__, exc)
+                    with self._lock:
+                        self._disk_errors += 1
+                else:
+                    with self._lock:
+                        self._remember(key, blob)
+                        self._hits += 1
+                        self._disk_promotions += 1
+                    return value
+        with self._lock:
+            self._misses += 1
+        return None
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key`` (pickled; both tiers)."""
@@ -182,6 +199,7 @@ class ResultCache:
         ``disk_promotions`` counts hits served from the disk tier and
         re-pinned in memory -- high values against a small ``maxsize``
         mean the memory LRU is thrashing over the working set.
+        ``disk_errors`` counts disk entries that failed to load.
         """
         with self._lock:
             return {
@@ -189,6 +207,7 @@ class ResultCache:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "disk_promotions": self._disk_promotions,
+                "disk_errors": self._disk_errors,
                 "entries": len(self._entries),
                 "maxsize": self.maxsize,
                 "disk_dir": self.disk_dir,
@@ -199,7 +218,7 @@ class ResultCache:
         with self._lock:
             self._entries.clear()
             self._hits = self._misses = self._evictions = 0
-            self._disk_promotions = 0
+            self._disk_promotions = self._disk_errors = 0
 
     def __repr__(self) -> str:
         disk = f", disk={self.disk_dir!r}" if self.disk_dir else ""

@@ -407,31 +407,34 @@ class _BridgeLanes(LaneFaultModel):
     settles = True
 
     def __init__(self, columns):
-        self._groups = [
-            (cell_a, cell_b, wired_or, mask)
-            for (cell_a, cell_b, wired_or), mask in columns.items()
-        ]
+        self._columns = columns
+        self._groups: list[tuple] = []
         self._by_cell: dict[int, list[tuple]] = {}
         self._enforced = False
 
     def install(self, memory: PackedMemoryArray) -> None:
-        self._groups = [
-            (cell_a, cell_b, wired_or, memory.spread(mask))
-            for cell_a, cell_b, wired_or, mask in self._groups
-        ]
+        # One entry per shorted pair: its wired-AND and wired-OR lanes
+        # (disjoint, one fault per lane) merged in one pass.
+        pairs: dict[tuple[int, int], list[int]] = {}
+        for (cell_a, cell_b, wired_or), mask in self._columns.items():
+            pairs.setdefault((cell_a, cell_b), [0, 0])[wired_or] |= \
+                memory.spread(mask)
+        self._groups = [(cell_a, cell_b, sel_and, sel_or, sel_and | sel_or)
+                        for (cell_a, cell_b), (sel_and, sel_or)
+                        in pairs.items()]
         self._by_cell = {}
         for group in self._groups:
             self._by_cell.setdefault(group[0], []).append(group)
             self._by_cell.setdefault(group[1], []).append(group)
 
     def _enforce(self, memory: PackedMemoryArray, groups) -> None:
-        for cell_a, cell_b, wired_or, select in groups:
-            value_a = memory.read_lanes(cell_a)
-            value_b = memory.read_lanes(cell_b)
-            merged = (value_a | value_b) if wired_or \
-                else (value_a & value_b)
-            memory.blend_lanes(cell_a, select, merged)
-            memory.blend_lanes(cell_b, select, merged)
+        words = memory.words
+        for cell_a, cell_b, sel_and, sel_or, select in groups:
+            value_a, value_b = words[cell_a], words[cell_b]
+            merged = (value_a & value_b & sel_and) \
+                | ((value_a | value_b) & sel_or)
+            words[cell_a] = value_a ^ ((value_a ^ merged) & select)
+            words[cell_b] = value_b ^ ((value_b ^ merged) & select)
 
     def after_write(self, addr: int, old, committed,
                     memory: PackedMemoryArray) -> None:

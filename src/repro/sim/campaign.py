@@ -77,10 +77,10 @@ class CampaignResult:
     ``verdicts[i]`` is the ``detected`` flag of ``faults[i]``, in
     universe order.  ``faults`` is the campaign's universe: for a
     :class:`~repro.faults.universe.FaultUniverse` made from a spec it is
-    the lazy universe itself, so a caller that reads only verdicts,
-    :meth:`class_tags` and the missed faults' names builds a
-    :class:`~repro.faults.base.Fault` for the misses alone (this is how
-    :func:`repro.analysis.coverage.run_coverage` reports).
+    the lazy universe itself, so a caller that tallies the verdicts
+    with :func:`repro.faults.universe.tally` (as
+    :func:`repro.analysis.coverage.run_coverage` reports) builds no
+    :class:`~repro.faults.base.Fault`.
     ``outcomes`` is the ``(fault, detected)`` list of every fault.
     Two results are equal when their fields are, with ``faults``
     compared element by element rather than by universe identity.
@@ -112,14 +112,6 @@ class CampaignResult:
         return (all(getattr(self, f.name) == getattr(other, f.name)
                     for f in dataclass_fields(self) if f.compare)
                 and list(self.faults) == list(other.faults))
-
-    def class_tags(self) -> list[str]:
-        """The class tag of every fault, in universe order -- read from
-        the universe's descriptor table when it has one."""
-        class_tags = getattr(self.faults, "class_tags", None)
-        if class_tags is not None:
-            return class_tags()
-        return [fault.fault_class for fault in self.faults]
 
     @property
     def faults_total(self) -> int:

@@ -88,12 +88,36 @@ class TestDiskTier:
         assert cache.get("aa") == 1  # disk hit, promoted back
         assert cache.stats()["hits"] == 1
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, caplog):
         cache = ResultCache(disk_dir=str(tmp_path))
         (tmp_path / "dead.pickle").write_bytes(b"")
-        with pytest.raises(EOFError):
-            cache.get("dead")  # unpickling garbage fails loudly...
+        with caplog.at_level("WARNING", logger="repro.server"):
+            assert cache.get("dead") is None
+        assert [record.levelname for record in caplog.records] == ["WARNING"]
+        assert "dead" in caplog.records[0].getMessage()
+        stats = cache.stats()
+        assert (stats["misses"], stats["disk_errors"], stats["hits"]) == \
+            (1, 1, 0)
+        assert "dead" not in cache._entries  # the bad blob is not promoted
         assert ResultCache(disk_dir=str(tmp_path)).get("beef") is None
+
+    def test_truncated_entry_is_recomputed_and_overwritten(self, tmp_path):
+        cache = ResultCache(disk_dir=str(tmp_path))
+        cache.put("abcd", {"overall": 0.75, "missed": ["SA0(cell=1)"]})
+        path = tmp_path / "abcd.pickle"
+        path.write_bytes(path.read_bytes()[:-5])  # a torn copy
+        fresh = ResultCache(disk_dir=str(tmp_path))
+        assert fresh.get("abcd") is None
+        assert fresh.get("abcd") is None  # still a miss, never promoted
+        calls = []
+        value, computed = fresh.get_or_compute(
+            "abcd", lambda: calls.append(1) or {"overall": 0.75})
+        assert computed and calls == [1] and value == {"overall": 0.75}
+        # Two gets, then get_or_compute's check before and under its lock.
+        assert fresh.stats()["disk_errors"] == 4
+        # The recomputed report replaced the file: a new process reads it.
+        assert ResultCache(disk_dir=str(tmp_path)).get("abcd") == \
+            {"overall": 0.75}
 
 
 class TestGetOrCompute:

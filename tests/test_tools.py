@@ -454,6 +454,64 @@ class TestCheckBenchLaneRows:
             "(did the benchmark's row identities change?)"]
 
 
+_BASELINE = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                         "out", "bench_campaign_engine.json")
+
+
+class TestCheckBenchSummedSections:
+    """Glue and lane timings are each below the noise floor, so their
+    sums over the matched rows are gated too."""
+
+    @staticmethod
+    def _quick_lane_rows():
+        # The committed baseline's rows at the --quick geometries.
+        with open(_BASELINE) as handle:
+            rows = json.load(handle)["lane_rows"]
+        return [row for row in rows if (row["n"], row["m"]) in
+                ((64, 1), (32, 8))]
+
+    def _scaled(self, factor):
+        base = {"lane_rows": self._quick_lane_rows()}
+        current = {"lane_rows": [dict(row, pass_s=row["pass_s"] * factor)
+                                 for row in self._quick_lane_rows()]}
+        return check_bench.compare(base, current, 3.0, 0.05)
+
+    def test_every_quick_lane_row_is_below_the_floor(self):
+        rows = self._quick_lane_rows()
+        assert rows and max(row["pass_s"] for row in rows) < 0.05
+        assert sum(row["pass_s"] for row in rows) >= 0.05
+
+    def test_tenfold_slower_lane_passes_fail(self):
+        lines, regressions = self._scaled(10.0)
+        assert [r for r in regressions if "lane_rows sum" in r
+                and "pass_s" in r]
+        assert not [r for r in regressions if "sum" not in r]
+
+    def test_slightly_slower_lane_passes_pass(self):
+        lines, regressions = self._scaled(1.2)
+        assert not regressions
+        assert any("lane_rows sum" in line and "ok" in line
+                   for line in lines)
+
+    def test_glue_sums_cover_only_rows_both_sides_have(self):
+        def row(test, **timings):
+            return {"test": test, "n": 64, "m": 1,
+                    "universe": "standard m=1 (glue)", **timings}
+
+        base = {"glue_rows": [row("a", compile_s=0.03),
+                              row("b", compile_s=0.03),
+                              row("c", compile_s=0.03)]}
+        current = {"glue_rows": [row("a", compile_s=0.2),
+                                 row("b", compile_s=0.2),
+                                 row("d", compile_s=9.0)]}
+        lines, regressions = check_bench.compare(base, current, 3.0, 0.05)
+        assert regressions == [
+            "glue_rows sum of 2 rows compile_s: 0.400s vs baseline "
+            "0.060s (6.67x > 3.0x)"]
+        _, small = check_bench.compare(base, current, 3.0, 0.1)
+        assert not small  # the 0.06 s sum is below this floor
+
+
 #: A ``_resolve`` that takes the recipe only (lint rule 5's clean case).
 CLEAN_RESOLVE = (
     "def _resolve(request):\n"
